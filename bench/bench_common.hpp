@@ -4,6 +4,7 @@
 // reports; absolute numbers depend on this machine, the paper-vs-measured
 // comparison lives in EXPERIMENTS.md.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,14 @@
 #include "rfdump/traffic/traffic.hpp"
 
 namespace bench {
+
+/// Decodes of one protocol in a report.
+inline std::size_t CountEvents(const rfdump::core::MonitorReport& report,
+                               rfdump::core::Protocol protocol) {
+  return static_cast<std::size_t>(std::count_if(
+      report.events.begin(), report.events.end(),
+      [protocol](const auto& e) { return e.protocol == protocol; }));
+}
 
 /// Scale factor for workload sizes: RFDUMP_SCALE=1.0 reproduces the paper's
 /// packet counts exactly; the default 0.5 halves them to keep the whole bench

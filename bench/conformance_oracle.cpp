@@ -40,8 +40,7 @@ int main() {
     t_render += w.Seconds();
 
     core::RFDumpPipeline::Config cfg;
-    cfg.zigbee_detector = true;
-    cfg.analysis.zigbee_demod = true;
+    cfg.EnableBundle(core::Protocol::kZigbee);
     w.Reset();
     const auto report = core::RFDumpPipeline(cfg).Process(scenario.samples);
     t_pipeline += w.Seconds();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/frontend.hpp"
 
@@ -58,15 +59,21 @@ RunResult Run(const Workload& w, const emu::FrontEnd::Config& fcfg,
   if (fcfg.clip_amplitude > 0.0f) {
     mcfg.pipeline.saturation_amplitude = fcfg.clip_amplitude;
   }
+  struct WifiCounter final : core::ResultSink {
+    std::size_t frames = 0;
+    void OnEvent(const core::ProtocolEvent& e) override {
+      if (e.protocol == core::Protocol::kWifi80211b) ++frames;
+    }
+  } wifi;
+  mcfg.sink = &wifi;
   core::StreamingMonitor monitor(mcfg);
   RunResult r;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++r.decoded; };
   while (!fe.Done()) {
     const auto seg = fe.NextSegment();
     if (!seg.samples.empty()) monitor.PushSegment(seg.start_sample, seg.samples);
   }
   monitor.Flush();
+  r.decoded = wifi.frames;
   r.gaps = monitor.gaps().size();
   for (const auto& g : monitor.gaps()) r.lost += g.missing;
   for (const auto& h : monitor.health()) {

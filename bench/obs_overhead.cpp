@@ -167,7 +167,7 @@ int main() {
       static_cast<double>(x.size()) / dsp::kSampleRateHz;
 
   rfdump::core::RFDumpPipeline::Config cfg;
-  cfg.microwave_detector = true;
+  cfg.EnableBundle(rfdump::core::Protocol::kMicrowave);
   {
     rfdump::core::RFDumpPipeline warmup(cfg);
     (void)warmup.Process(x);  // touch caches, resolve metric statics

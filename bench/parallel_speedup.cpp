@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "rfdump/core/executor.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/testing/differential.hpp"
 
 namespace {
 
@@ -34,28 +35,10 @@ bool SameResults(const core::MonitorReport& a, const core::MonitorReport& b,
   if (a.samples_total != b.samples_total) { why = "samples_total"; return false; }
   if (a.detections.size() != b.detections.size()) { why = "detections"; return false; }
   if (a.dispatched.size() != b.dispatched.size()) { why = "dispatched"; return false; }
-  if (a.wifi_frames.size() != b.wifi_frames.size()) { why = "wifi count"; return false; }
-  if (a.bt_packets.size() != b.bt_packets.size()) { why = "bt count"; return false; }
-  if (a.zb_frames.size() != b.zb_frames.size()) { why = "zb count"; return false; }
-  for (std::size_t i = 0; i < a.wifi_frames.size(); ++i) {
-    const auto& fa = a.wifi_frames[i];
-    const auto& fb = b.wifi_frames[i];
-    if (fa.start_sample != fb.start_sample || fa.end_sample != fb.end_sample ||
-        fa.fcs_ok != fb.fcs_ok || fa.mpdu != fb.mpdu) {
-      why = "wifi frame " + std::to_string(i);
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.bt_packets.size(); ++i) {
-    const auto& pa = a.bt_packets[i];
-    const auto& pb = b.bt_packets[i];
-    if (pa.start_sample != pb.start_sample || pa.lap != pb.lap ||
-        pa.channel_index != pb.channel_index ||
-        pa.packet.crc_ok != pb.packet.crc_ok ||
-        pa.packet.payload != pb.packet.payload) {
-      why = "bt packet " + std::to_string(i);
-      return false;
-    }
+  if (rfdump::testing::ExactFingerprint(a) !=
+      rfdump::testing::ExactFingerprint(b)) {
+    why = "events";
+    return false;
   }
   return true;
 }
@@ -119,8 +102,8 @@ int main() {
               identical ? "yes" : "NO (", identical ? "" : why.c_str(),
               identical ? "" : ")");
   std::printf("  %zu wifi frames / %zu bt packets / %zu detections\n",
-              serial_report.wifi_frames.size(),
-              serial_report.bt_packets.size(),
+              bench::CountEvents(serial_report, core::Protocol::kWifi80211b),
+              bench::CountEvents(serial_report, core::Protocol::kBluetooth),
               serial_report.detections.size());
 
   // Under ThreadSanitizer the run is a race check, not a timing experiment:

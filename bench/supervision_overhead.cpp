@@ -3,13 +3,13 @@
 //
 // Strategy (same contract as obs_overhead): (a) microbenchmark the two
 // primitives the clean path pays for — WorkBudget::Charge at the
-// demodulators' check quanta, and an empty supervised invocation (lock,
-// breaker check, budget arm, outcome accounting) — then (b) count how many
-// of each one supervised pipeline pass over the Table-1 capture really
-// performs (Supervisor::Counts). The product is supervision's share of the
-// measured block CPU. A results-equality check guards against the cheaper
-// failure mode: a supervisor that is fast because it silently changed what
-// gets decoded.
+// demodulators' check quanta, and one Admit + Finish boundary around no
+// work (lock, breaker check, budget arm, outcome accounting) — then (b)
+// count how many of each one supervised pipeline pass over the Table-1
+// capture really performs (Supervisor::Counts). The product is
+// supervision's share of the measured block CPU. A results-equality check
+// guards against the cheaper failure mode: a supervisor that is fast
+// because it silently changed what gets decoded.
 
 #include <cstdint>
 #include <cstdio>
@@ -48,22 +48,23 @@ int main() {
   }
   const double t_charge = NsPerOp(w.Seconds(), kChargeOps);
 
-  // One full stage boundary around an empty closure: breaker check + budget
-  // arm + outcome/window accounting (two short critical sections).
+  // One full stage boundary around no work, as the analysis stage opens and
+  // closes it per interval: breaker check + budget arm (Admit), then
+  // outcome/window accounting (Finish) — two short critical sections.
   core::Supervisor sup;
   const dsp::SampleVec dummy(64);
   constexpr std::uint64_t kSuperviseOps = 1'000'000;
   w.Reset();
   for (std::uint64_t i = 0; i < kSuperviseOps; ++i) {
-    sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                  [](util::WorkBudget&) {});
+    auto admission = sup.Admit(core::Protocol::kWifi80211b, 0, 64, dummy);
+    sup.Finish(*admission, core::Outcome::kOk, {}, dummy);
   }
   const double t_supervise = NsPerOp(w.Seconds(), kSuperviseOps);
 
   std::printf("%-38s %8.2f ns/op  (%llu live)\n",
               "WorkBudget::Charge (armed, clean)", t_charge,
               static_cast<unsigned long long>(live));
-  std::printf("%-38s %8.2f ns/op\n\n", "Supervise() boundary, empty closure",
+  std::printf("%-38s %8.2f ns/op\n\n", "Admit()+Finish() boundary, no work",
               t_supervise);
 
   // --- Event volume + pipeline cost on the Table-1 capture -----------------
@@ -82,7 +83,7 @@ int main() {
       static_cast<double>(x.size()) / dsp::kSampleRateHz;
 
   core::RFDumpPipeline::Config cfg;
-  cfg.microwave_detector = true;
+  cfg.EnableBundle(core::Protocol::kMicrowave);
 
   // Unsupervised baseline (results reference + cache warmup).
   core::RFDumpPipeline baseline(cfg);
@@ -122,14 +123,13 @@ int main() {
 
   // Clean-path equivalence: supervision must not change what gets decoded.
   const bool same_results =
-      sup_report.wifi_frames.size() == unsup.wifi_frames.size() &&
-      sup_report.bt_packets.size() == unsup.bt_packets.size() &&
-      sup_report.zb_frames.size() == unsup.zb_frames.size() &&
+      sup_report.events.size() == unsup.events.size() &&
       counts.ok == counts.invocations;
   std::printf("clean-path results identical to unsupervised: %s "
               "(%zu wifi / %zu bt, all outcomes ok)\n",
               same_results ? "yes" : "NO",
-              sup_report.wifi_frames.size(), sup_report.bt_packets.size());
+              bench::CountEvents(sup_report, core::Protocol::kWifi80211b),
+              bench::CountEvents(sup_report, core::Protocol::kBluetooth));
 
   const bool pass = share < 0.01 && same_results;
   std::printf("\nbudget <1%% of block CPU: %s\n", pass ? "PASS" : "FAIL");

@@ -51,10 +51,10 @@ int main() {
               real_seconds, dsp::kSampleRateHz / 1e6, util * 100.0);
 
   // 802.11 demodulation over the full stream.
-  std::size_t wifi_frames = 0;
+  std::size_t wifi_decoded = 0;
   const double t_wifi = Time([&] {
     rfdump::phy80211::Demodulator demod;
-    wifi_frames = demod.DecodeAll(x).size();
+    wifi_decoded = demod.DecodeAll(x).size();
   });
 
   // Bluetooth demodulation (all 8 visible channels) over the full stream.
@@ -81,7 +81,7 @@ int main() {
   std::printf("%-34s %14s %10s\n", "GNU Radio Block", "CPU/Real time",
               "output");
   std::printf("%-34s %14.3f %7zu frames\n", "802.11 demodulation (1 Mbps)",
-              t_wifi / real_seconds, wifi_frames);
+              t_wifi / real_seconds, wifi_decoded);
   std::printf("%-34s %14.3f %7zu pkts\n", "Bluetooth demodulation (8 ch)",
               t_bt / real_seconds, bt_pkts);
   std::printf("%-34s %14.3f %7zu peaks\n", "Peak/Energy detection",

@@ -71,7 +71,7 @@ int main() {
     }
     core::Executor executor(width);
     core::RFDumpPipeline::Config cfg;
-    cfg.microwave_detector = true;
+    cfg.EnableBundle(core::Protocol::kMicrowave);
     cfg.executor = &executor;
     core::RFDumpPipeline pipeline(cfg);
     (void)pipeline.Process(x);  // warm caches before timing
@@ -86,16 +86,18 @@ int main() {
     }
     const double xrt = best > 0.0 ? real_seconds / best : 0.0;
     rows.push_back({width, best, xrt, false});
+    const std::size_t wifi =
+        bench::CountEvents(report, core::Protocol::kWifi80211b);
+    const std::size_t bt =
+        bench::CountEvents(report, core::Protocol::kBluetooth);
     std::printf("--threads %-2d  wall %8.4f s  ->  %6.2fx real time "
                 "(%zu wifi / %zu bt / %zu detections)\n",
-                width, best, xrt, report.wifi_frames.size(),
-                report.bt_packets.size(), report.detections.size());
+                width, best, xrt, wifi, bt, report.detections.size());
     if (width == 1) {
-      serial_wifi = report.wifi_frames.size();
-      serial_bt = report.bt_packets.size();
+      serial_wifi = wifi;
+      serial_bt = bt;
       serial_det = report.detections.size();
-    } else if (report.wifi_frames.size() != serial_wifi ||
-               report.bt_packets.size() != serial_bt ||
+    } else if (wifi != serial_wifi || bt != serial_bt ||
                report.detections.size() != serial_det) {
       identical = false;
     }

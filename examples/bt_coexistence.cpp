@@ -3,6 +3,7 @@
 // how often they collided — the cross-technology visibility a single-NIC
 // monitor cannot provide.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "rfdump/core/pipeline.hpp"
@@ -40,16 +41,21 @@ int main() {
       bt_air += d.end_sample - d.start_sample;
     }
   }
+  const auto packets = [&](core::Protocol p) {
+    return static_cast<std::size_t>(std::count_if(
+        report.events.begin(), report.events.end(),
+        [p](const core::ProtocolEvent& e) { return e.protocol == p; }));
+  };
   std::printf("monitored %.3f s of the 2.4 GHz band\n\n", secs);
   std::printf("%-12s %10s %10s %12s\n", "protocol", "packets", "airtime",
               "share");
   std::printf("%-12s %10zu %9.1fms %11.1f%%\n", "802.11b",
-              report.wifi_frames.size(),
+              packets(core::Protocol::kWifi80211b),
               static_cast<double>(wifi_air) / dsp::kSampleRateHz * 1e3,
               100.0 * static_cast<double>(wifi_air) /
                   static_cast<double>(total));
   std::printf("%-12s %10zu %9.1fms %11.1f%%\n", "bluetooth",
-              report.bt_packets.size(),
+              packets(core::Protocol::kBluetooth),
               static_cast<double>(bt_air) / dsp::kSampleRateHz * 1e3,
               100.0 * static_cast<double>(bt_air) /
                   static_cast<double>(total));

@@ -11,7 +11,6 @@
 
 #include "rfdump/core/pipeline.hpp"
 #include "rfdump/emu/ether.hpp"
-#include "rfdump/mac80211/frames.hpp"
 #include "rfdump/trace/trace.hpp"
 #include "rfdump/traffic/traffic.hpp"
 
@@ -49,34 +48,13 @@ int main(int argc, char** argv) {
   // 3. Print what the ether contained, tcpdump-style.
   std::printf("\n%-12s %-10s %s\n", "time", "proto", "info");
   std::printf("------------------------------------------------------------\n");
-  for (const auto& f : report.wifi_frames) {
-    const double t = static_cast<double>(f.start_sample) / dsp::kSampleRateHz;
-    std::string info = std::string(rfdump::phy80211::RateName(f.header.rate));
-    if (f.payload_decoded && f.fcs_ok) {
-      if (const auto mac = rfdump::mac80211::ParseFrame(f.mpdu)) {
-        info += std::string(" ") + rfdump::mac80211::FrameKindName(mac->kind);
-        if (mac->kind == rfdump::mac80211::FrameKind::kData) {
-          info += " " + rfdump::mac80211::ToString(mac->addr2) + " > " +
-                  rfdump::mac80211::ToString(mac->addr1);
-          if (const auto seq = rfdump::mac80211::ParseIcmpEchoSeq(mac->body)) {
-            info += " ICMP echo seq " + std::to_string(*seq);
-          }
-        }
-      }
-    } else {
-      info += " (header only)";
-    }
-    std::printf("%12.6f %-10s %s\n", t, "802.11b", info.c_str());
-  }
-  for (const auto& p : report.bt_packets) {
-    const double t = static_cast<double>(p.start_sample) / dsp::kSampleRateHz;
-    char info[128];
-    std::snprintf(info, sizeof(info),
-                  "LAP %06x ch %d %s payload %zu B crc %s",
-                  p.lap, p.channel_index,
-                  rfdump::phybt::PacketTypeName(p.packet.header.type),
-                  p.packet.payload.size(), p.packet.crc_ok ? "ok" : "BAD");
-    std::printf("%12.6f %-10s %s\n", t, "bluetooth", info);
+  for (const auto& e : report.events) {
+    // Each protocol bundle renders its own decodes (rate, MAC addresses,
+    // LAP, packet type, ...).
+    const auto* bundle = core::ProtocolRegistry::Instance().Find(e.protocol);
+    if (bundle == nullptr || !bundle->describe) continue;
+    const double t = static_cast<double>(e.start_sample) / dsp::kSampleRateHz;
+    std::printf("%12.6f %s\n", t, bundle->describe(e).c_str());
   }
 
   // 4. Where did the CPU go?

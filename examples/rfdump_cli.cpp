@@ -28,6 +28,7 @@
 
 #include "rfdump/core/executor.hpp"
 #include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/core/spectrogram.hpp"
@@ -213,46 +214,16 @@ void PrintReport(const core::MonitorReport& report, bool stats) {
     std::string text;
   };
   std::vector<Line> lines;
-  for (const auto& f : report.wifi_frames) {
-    const double t = static_cast<double>(f.start_sample) / dsp::kSampleRateHz;
-    std::string info = "802.11b    ";
-    info += rfdump::phy80211::RateName(f.header.rate);
-    if (f.payload_decoded && f.fcs_ok) {
-      if (const auto mac = rfdump::mac80211::ParseFrame(f.mpdu)) {
-        info += std::string(" ") + rfdump::mac80211::FrameKindName(mac->kind);
-        if (mac->kind == rfdump::mac80211::FrameKind::kData) {
-          info += " " + rfdump::mac80211::ToString(mac->addr2) + " > " +
-                  rfdump::mac80211::ToString(mac->addr1) + " (" +
-                  std::to_string(f.mpdu.size()) + " B)";
-        }
-      } else {
-        info += " undecodable MAC frame";
-      }
-    } else if (f.payload_decoded) {
-      info += " BAD FCS";
-    } else {
-      info += " header only (rate beyond decoder)";
-    }
-    lines.push_back({t, std::move(info)});
-  }
-  for (const auto& p : report.bt_packets) {
-    const double t = static_cast<double>(p.start_sample) / dsp::kSampleRateHz;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "bluetooth  LAP %06x ch %d %s %zu B crc %s", p.lap,
-                  p.channel_index,
-                  rfdump::phybt::PacketTypeName(p.packet.header.type),
-                  p.packet.payload.size(), p.packet.crc_ok ? "ok" : "BAD");
-    lines.push_back({t, buf});
-  }
-  // Registry-era protocols (and ZigBee, which never had a typed line here)
-  // come from the generic protocol-tagged event view.
+  std::size_t wifi = 0, bt = 0;
   for (const auto& e : report.events) {
-    if (e.protocol == core::Protocol::kWifi80211b ||
-        e.protocol == core::Protocol::kBluetooth) {
-      continue;  // already listed via their typed shims above
-    }
+    if (e.protocol == core::Protocol::kWifi80211b) ++wifi;
+    if (e.protocol == core::Protocol::kBluetooth) ++bt;
     const double t = static_cast<double>(e.start_sample) / dsp::kSampleRateHz;
+    const auto* bundle = core::ProtocolRegistry::Instance().Find(e.protocol);
+    if (bundle != nullptr && bundle->describe) {
+      lines.push_back({t, bundle->describe(e)});
+      continue;
+    }
     char buf[160];
     std::snprintf(buf, sizeof(buf), "%-10s ch %d %zu B crc %s",
                   core::ProtocolName(e.protocol), e.channel, e.payload.size(),
@@ -260,7 +231,7 @@ void PrintReport(const core::MonitorReport& report, bool stats) {
     lines.push_back({t, buf});
   }
   // Detection-only runs: list the tagged intervals instead.
-  if (report.wifi_frames.empty() && report.bt_packets.empty()) {
+  if (report.events.empty()) {
     for (const auto& d : report.detections) {
       const double t =
           static_cast<double>(d.start_sample) / dsp::kSampleRateHz;
@@ -280,8 +251,7 @@ void PrintReport(const core::MonitorReport& report, bool stats) {
   }
   std::printf("\n%zu 802.11 frames, %zu bluetooth packets, %zu detections; "
               "CPU/real time %.3f\n",
-              report.wifi_frames.size(), report.bt_packets.size(),
-              report.detections.size(), report.CpuOverRealTime());
+              wifi, bt, report.detections.size(), report.CpuOverRealTime());
   if (stats) {
     std::printf("\nper-stage costs:\n");
     for (const auto& c : report.costs) {
@@ -376,39 +346,48 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
   rfdump::emu::FrontEnd frontend(x, fe, /*seed=*/7);
 
   mcfg.pipeline.saturation_amplitude = fe.clip_amplitude;
-  core::StreamingMonitor monitor(mcfg);
-  core::MonitorReport report;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    report.wifi_frames.push_back(f);
-  };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-    report.bt_packets.push_back(p);
-  };
-  monitor.on_detection = [&](const core::Detection& d) {
-    report.detections.push_back(d);
-  };
-  std::uint64_t blocks_seen = 0;
-  const bool periodic_metrics = !metrics_path.empty() && metrics_path != "-";
-  monitor.on_health = [&](const core::HealthReport& h) {
-    std::printf(
-        "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
-        "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
-        "tag %llu/rej %llu/fwd %llu\n",
-        static_cast<double>(h.block_start) / dsp::kSampleRateHz,
-        static_cast<unsigned long long>(h.block_samples), h.gap_count,
-        static_cast<long long>(h.gap_samples),
-        static_cast<long long>(h.overlap_samples),
-        static_cast<unsigned long long>(h.sanitized_samples),
-        100.0 * h.saturation_fraction, h.shed_stage, h.block_load,
-        static_cast<unsigned long long>(h.tagged_detections),
-        static_cast<unsigned long long>(h.rejected_detections),
-        static_cast<unsigned long long>(h.forwarded_intervals));
-    // Refresh the exposition file every ~16 blocks (~0.8 s of ether at the
-    // 50 ms block size): cheap enough, fresh enough to scrape.
-    if (periodic_metrics && (++blocks_seen % 16 == 0)) {
-      DumpMetrics(metrics_path);
+  // Collects the monitor's output into a report for PrintReport, and prints
+  // a health line per block as blocks complete.
+  class ImpairedSink final : public core::ResultSink {
+   public:
+    explicit ImpairedSink(const std::string& metrics_path)
+        : metrics_path_(metrics_path),
+          periodic_metrics_(!metrics_path.empty() && metrics_path != "-") {}
+    void OnEvent(const core::ProtocolEvent& e) override {
+      report.events.push_back(e);
     }
-  };
+    void OnDetection(const core::Detection& d) override {
+      report.detections.push_back(d);
+    }
+    void OnHealth(const core::HealthReport& h) override {
+      std::printf(
+          "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
+          "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
+          "tag %llu/rej %llu/fwd %llu\n",
+          static_cast<double>(h.block_start) / dsp::kSampleRateHz,
+          static_cast<unsigned long long>(h.block_samples), h.gap_count,
+          static_cast<long long>(h.gap_samples),
+          static_cast<long long>(h.overlap_samples),
+          static_cast<unsigned long long>(h.sanitized_samples),
+          100.0 * h.saturation_fraction, h.shed_stage, h.block_load,
+          static_cast<unsigned long long>(h.tagged_detections),
+          static_cast<unsigned long long>(h.rejected_detections),
+          static_cast<unsigned long long>(h.forwarded_intervals));
+      // Refresh the exposition file every ~16 blocks (~0.8 s of ether at
+      // the 50 ms block size): cheap enough, fresh enough to scrape.
+      if (periodic_metrics_ && (++blocks_seen_ % 16 == 0)) {
+        DumpMetrics(metrics_path_);
+      }
+    }
+    core::MonitorReport report;
+
+   private:
+    const std::string& metrics_path_;
+    const bool periodic_metrics_;
+    std::uint64_t blocks_seen_ = 0;
+  } sink(metrics_path);
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
   while (!frontend.Done()) {
     const auto seg = frontend.NextSegment();
     if (!seg.samples.empty()) monitor.PushSegment(seg.start_sample, seg.samples);
@@ -459,6 +438,7 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
                 quarantine_dir.c_str());
   }
   std::printf("\n");
+  core::MonitorReport report = std::move(sink.report);
   report.costs = monitor.costs();
   report.samples_total = monitor.samples_processed();
   return report;
@@ -979,19 +959,8 @@ int main(int argc, char** argv) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads < 1) threads = 1;
   }
-  // --protocols overrides the default bundle set: start from an empty mask
-  // and enable exactly the named bundles (EnableBundle also switches on the
-  // per-protocol detector/demod flags a bundle's hooks gate on).
-  const auto apply_protocols = [&](core::RFDumpPipeline::Config& cfg) {
-    if (!protocols_set) return;
-    cfg.bundle_mask = 0;
-    for (const auto& b : core::ProtocolRegistry::Instance().bundles()) {
-      if ((protocols_mask & core::BundleBit(b.protocol)) != 0) {
-        cfg.EnableBundle(b.protocol);
-      }
-    }
-  };
-  const auto apply_protocols_naive = [&](core::NaivePipeline::Config& cfg) {
+  // --protocols overrides the default bundle set: exactly the named bundles.
+  const auto apply_protocols = [&](auto& cfg) {
     if (protocols_set) cfg.bundle_mask = protocols_mask;
   };
   if (!connect_hp.empty()) {
@@ -1002,7 +971,7 @@ int main(int argc, char** argv) {
     mcfg.pipeline.timing_detectors = (detectors != "phase");
     mcfg.pipeline.phase_detectors = (detectors != "timing");
     mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
+    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
     mcfg.pipeline.noise_floor_power = noise_floor;
     mcfg.pipeline.analysis.demodulate = !no_demod;
     mcfg.block_samples = 400'000;
@@ -1016,7 +985,7 @@ int main(int argc, char** argv) {
     mcfg.pipeline.timing_detectors = (detectors != "phase");
     mcfg.pipeline.phase_detectors = (detectors != "timing");
     mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
+    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
     mcfg.pipeline.noise_floor_power = noise_floor;
     mcfg.pipeline.analysis.demodulate = !no_demod;
     mcfg.block_samples = 400'000;
@@ -1040,7 +1009,7 @@ int main(int argc, char** argv) {
     mcfg.pipeline.timing_detectors = (detectors != "phase");
     mcfg.pipeline.phase_detectors = (detectors != "timing");
     mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
+    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
     mcfg.pipeline.noise_floor_power = noise_floor;
     mcfg.pipeline.analysis.demodulate = !no_demod;
     mcfg.block_samples = 400'000;  // 50 ms blocks: visible health cadence
@@ -1055,14 +1024,14 @@ int main(int argc, char** argv) {
     cfg.noise_floor_power = noise_floor;
     cfg.analysis.demodulate = !no_demod;
     cfg.executor = &executor;
-    apply_protocols_naive(cfg);
+    apply_protocols(cfg);
     report = core::NaivePipeline(cfg).Process(x);
   } else if (arch == "rfdump") {
     core::RFDumpPipeline::Config cfg;
     cfg.timing_detectors = (detectors != "phase");
     cfg.phase_detectors = (detectors != "timing");
     cfg.collision_detector = collisions;
-    cfg.microwave_detector = true;
+    cfg.EnableBundle(core::Protocol::kMicrowave);
     cfg.noise_floor_power = noise_floor;
     cfg.analysis.demodulate = !no_demod;
     cfg.executor = &executor;
@@ -1078,7 +1047,7 @@ int main(int argc, char** argv) {
   }
   PrintReport(report, stats);
   if (!pcap_path.empty()) {
-    const auto n = rfdump::trace::WritePcap(pcap_path, report.wifi_frames);
+    const auto n = rfdump::trace::WritePcap(pcap_path, report.events);
     std::printf("wrote %zu frames to %s (LINKTYPE_IEEE802_11)\n", n,
                 pcap_path.c_str());
   }

@@ -53,8 +53,8 @@ int main() {
     core::RFDumpPipeline::Config cfg;
     cfg.timing_detectors = s.timing;
     cfg.phase_detectors = s.phase;
-    cfg.microwave_detector = s.microwave;
-    cfg.zigbee_detector = s.zigbee;
+    if (s.microwave) cfg.EnableBundle(core::Protocol::kMicrowave);
+    if (s.zigbee) cfg.EnableBundle(core::Protocol::kZigbee);
     cfg.analysis.demodulate = false;
     core::RFDumpPipeline pipeline(cfg);
     const auto report = pipeline.Process(x);

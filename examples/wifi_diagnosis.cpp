@@ -32,7 +32,7 @@ int main() {
 
   // Monitor with microwave detection enabled.
   core::RFDumpPipeline::Config cfg;
-  cfg.microwave_detector = true;
+  cfg.EnableBundle(core::Protocol::kMicrowave);
   core::RFDumpPipeline pipeline(cfg);
   const auto report = pipeline.Process(x);
 
@@ -40,8 +40,8 @@ int main() {
   const auto wifi_truth = core::VisibleTruthWithin(
       ether.truth(), core::Protocol::kWifi80211b, total);
   std::size_t ok = 0;
-  for (const auto& f : report.wifi_frames) {
-    if (f.payload_decoded && f.fcs_ok) ++ok;
+  for (const auto& e : report.events) {
+    if (e.protocol == core::Protocol::kWifi80211b && e.crc_ok) ++ok;
   }
   std::printf("802.11-only view: %zu/%zu frames decoded cleanly -> "
               "\"the network is lossy, cause unknown\"\n",
@@ -66,8 +66,9 @@ int main() {
   std::size_t lost = 0, lost_during_mw = 0;
   for (const auto& t : wifi_truth) {
     bool decoded = false;
-    for (const auto& f : report.wifi_frames) {
-      if (f.fcs_ok && std::llabs(f.start_sample - t.start_sample) < 400) {
+    for (const auto& e : report.events) {
+      if (e.protocol == core::Protocol::kWifi80211b && e.crc_ok &&
+          std::llabs(e.start_sample - t.start_sample) < 400) {
         decoded = true;
         break;
       }

@@ -1,17 +1,13 @@
-// libFuzzer entry point for the net frame parser + message codecs (clang
-// only; see fuzz/CMakeLists.txt). The input mapping is shared with the
-// in-tree corpus runner: testing::RunFuzzInput. Covers FrameParser resync
-// (with a chunked-feed differential) and every message Decode, kMetrics
-// included.
+// libFuzzer entry point for the net frame parser + message codecs: FrameParser
+// resync (with a chunked-feed differential) and every message Decode,
+// kMetrics included.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/testing/fuzz.hpp"
+#include "fuzz_target.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  (void)rfdump::testing::RunFuzzInput(rfdump::testing::FuzzTarget::kNetFrame,
-                                      {data, size});
-  return 0;
+  return RunFuzzTarget("net-frame", data, size);
 }

@@ -1,20 +1,11 @@
-// libFuzzer entry point for the 802.11b PLCP parser + DSSS demodulator
-// (clang only; see fuzz/CMakeLists.txt). The input mapping is shared with
-// the in-tree corpus runner: testing::RunFuzzInput.
+// libFuzzer entry point for the 802.11b PLCP parser + DSSS demodulator.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/testing/fuzz.hpp"
-#include "rfdump/util/work_budget.hpp"
+#include "fuzz_target.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  // Arm a cooperative budget so slow-but-terminating inputs don't trip
-  // libFuzzer's timeout; true hangs (budget ignored) still will.
-  rfdump::util::WorkBudget budget;
-  budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)rfdump::testing::RunFuzzInput(
-      rfdump::testing::FuzzTarget::kPhy80211Plcp, {data, size}, &budget);
-  return 0;
+  return RunFuzzTarget("phy80211-plcp", data, size);
 }

@@ -1,22 +1,11 @@
-// libFuzzer entry point for the BLE advertising decoder (clang only; see
-// fuzz/CMakeLists.txt). BLE has no legacy FuzzTarget enum value — the target
-// comes straight from its registry bundle's fuzz hooks, shared with the
-// in-tree corpus runner.
+// libFuzzer entry point for the BLE advertising decoder.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/core/protocol_registry.hpp"
-#include "rfdump/testing/fuzz.hpp"
-#include "rfdump/util/work_budget.hpp"
+#include "fuzz_target.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  const auto* bundle = rfdump::core::ProtocolRegistry::Instance().Find(
-      rfdump::core::Protocol::kBleAdv);
-  if (bundle == nullptr || !bundle->fuzz_run) return 0;
-  rfdump::util::WorkBudget budget;
-  budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)bundle->fuzz_run({data, size}, &budget);
-  return 0;
+  return RunFuzzTarget("phyble-adv", data, size);
 }

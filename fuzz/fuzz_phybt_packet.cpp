@@ -1,18 +1,12 @@
 // libFuzzer entry point for the Bluetooth sync-word/packet parsers + GFSK
-// demodulator (clang only; see fuzz/CMakeLists.txt). The input mapping is
-// shared with the in-tree corpus runner: testing::RunFuzzInput.
+// demodulator.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/testing/fuzz.hpp"
-#include "rfdump/util/work_budget.hpp"
+#include "fuzz_target.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  rfdump::util::WorkBudget budget;
-  budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)rfdump::testing::RunFuzzInput(
-      rfdump::testing::FuzzTarget::kPhyBtPacket, {data, size}, &budget);
-  return 0;
+  return RunFuzzTarget("phybt-packet", data, size);
 }

@@ -1,18 +1,11 @@
-// libFuzzer entry point for the ZigBee O-QPSK frame decoder (clang only;
-// see fuzz/CMakeLists.txt). The input mapping is shared with the in-tree
-// corpus runner: testing::RunFuzzInput.
+// libFuzzer entry point for the ZigBee O-QPSK frame decoder.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/testing/fuzz.hpp"
-#include "rfdump/util/work_budget.hpp"
+#include "fuzz_target.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  rfdump::util::WorkBudget budget;
-  budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)rfdump::testing::RunFuzzInput(rfdump::testing::FuzzTarget::kPhyZigbee,
-                                      {data, size}, &budget);
-  return 0;
+  return RunFuzzTarget("phyzigbee", data, size);
 }

@@ -21,9 +21,6 @@
 #include "rfdump/core/peaks.hpp"
 #include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/core/supervisor.hpp"
-#include "rfdump/phy80211/demodulator.hpp"
-#include "rfdump/phybt/demodulator.hpp"
-#include "rfdump/phyzigbee/phy.hpp"
 
 namespace rfdump::core {
 
@@ -74,18 +71,8 @@ struct HealthReport {
 struct MonitorReport {
   std::vector<Detection> detections;   // raw detector output (RFDump only)
   std::vector<Detection> dispatched;   // merged intervals sent to analysis
-  /// Legacy per-protocol decode vectors. Kept as thin shims over the generic
-  /// `events` collection below: bundles with rich typed results still fill
-  /// them (and existing tests/sinks compile unchanged), and the pipeline
-  /// derives `events` from them after analysis. Bundles without a typed
-  /// vector (e.g. BLE advertising) appear only in `events`.
-  std::vector<phy80211::DecodedFrame> wifi_frames;
-  std::vector<phybt::DecodedBtPacket> bt_packets;
-  std::vector<phyzigbee::DecodedZbFrame> zb_frames;
-  /// Generic protocol-tagged decode events, grouped by protocol id in
-  /// registry order; within a protocol, in the same order as its typed
-  /// vector. This is the view the generic layers (oracle, differential,
-  /// net fusion, ResultSink::OnEvent) consume.
+  /// Every decode, grouped by protocol id in registry order and sorted by
+  /// start sample within a protocol.
   std::vector<ProtocolEvent> events;
   std::vector<StageCost> costs;
   std::vector<HealthReport> health;    // input-quality scan(s), see above
@@ -102,8 +89,6 @@ struct MonitorReport {
 /// Shared demodulator bank configuration.
 struct AnalysisConfig {
   bool demodulate = true;      // false: detection only (Fig 9 "no demod")
-  bool wifi_demod = true;
-  bool zigbee_demod = false;   // decode 802.15.4 frames in tagged ranges
   int bt_demods = 8;           // one per visible Bluetooth channel
   std::uint8_t bt_uap = 0x47;  // UAP known to the monitor (see DESIGN.md)
   /// Registry bundles whose intervals the analysis stage will demodulate
@@ -137,13 +122,13 @@ struct DetectOutput {
 };
 
 /// Runs the demodulator bank over `det.report.dispatched` and returns the
-/// completed report. `x` must be the same span Detect() saw. A null or
-/// serial `executor` reproduces the historical single-threaded analysis
-/// byte-for-byte; a parallel executor fans each interval x protocol
-/// demodulation out as independent tasks and merges result slots in
-/// submission order, so the result-bearing report fields are identical to
-/// the serial run. `sink`, when set, receives every report entry (health
-/// first, then detections/frames/packets) after analysis completes.
+/// completed report. `x` must be the same span Detect() saw. Each interval x
+/// analysis unit is one task of an Executor::Batch (inline for a null or
+/// serial `executor`); result slots merge in submission order, so the
+/// result-bearing report fields are identical at every width. Sibling units
+/// always run to completion; unsupervised, the first failing unit in
+/// submission order rethrows. `sink`, when set, receives every report entry
+/// (health first, then detections, then events) after analysis completes.
 [[nodiscard]] MonitorReport AnalyzeDetections(DetectOutput det,
                                               dsp::const_sample_span x,
                                               Executor* executor = nullptr,
@@ -157,15 +142,14 @@ class RFDumpPipeline {
     bool phase_detectors = true;    // DBPSK pattern + GFSK
     bool freq_detector = false;     // FFT-based BT detector (off by default,
                                     // like the paper's prototype)
-    bool microwave_detector = false;
-    bool zigbee_detector = false;
     /// Collision detection (paper future work): flags peaks whose power
     /// profile steps mid-burst as overlapping transmissions.
     bool collision_detector = false;
     /// Registry bundles whose detectors run and whose detections are
-    /// dispatched (bit = BundleBit(protocol)). Defaults to the registry's
-    /// default-enabled set — the historical four protocols; non-default
-    /// bundles (e.g. BLE advertising) are opted in via EnableBundle().
+    /// dispatched (bit = BundleBit(protocol)) — the one protocol on/off
+    /// switch. Defaults to the registry's default-enabled set (802.11 and
+    /// Bluetooth); opt-in bundles (ZigBee, microwave, BLE advertising) are
+    /// enabled via EnableBundle().
     std::uint32_t bundle_mask = DefaultBundleMask();
     double noise_floor_power = 1.0;
     double dispatch_pad_us = 40.0;  // padding around dispatched intervals
@@ -192,10 +176,8 @@ class RFDumpPipeline {
     /// sink after analysis (non-owning; see core/result_sink.hpp).
     ResultSink* sink = nullptr;
 
-    /// Enables one registry bundle: sets its bundle_mask bit and — for the
-    /// historical protocols that predate the mask — the matching legacy
-    /// detector/demod booleans, so either switch form stays consistent.
-    void EnableBundle(Protocol p);
+    /// Enables one registry bundle (sets its bundle_mask bit).
+    void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
   };
 
   RFDumpPipeline();
@@ -230,7 +212,6 @@ class NaivePipeline {
     double dispatch_pad_us = 40.0;
     AnalysisConfig analysis;
 
-    /// Same contract as RFDumpPipeline::Config::EnableBundle.
     void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
     /// Same contract as RFDumpPipeline::Config::supervisor.
     Supervisor* supervisor = nullptr;

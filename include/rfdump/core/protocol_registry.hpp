@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -40,10 +41,9 @@ namespace rfdump::core {
 struct AnalysisConfig;   // pipeline.hpp
 struct MonitorReport;    // pipeline.hpp
 
-/// Generic protocol-tagged decode event — the registry-era replacement for
-/// MonitorReport's per-protocol frame vectors. The typed vectors remain as
-/// thin legacy shims; every generic layer (sinks, oracle, differential, net
-/// fusion) consumes this view instead.
+/// One decoded transmission, protocol-tagged — the only decode result type
+/// (MonitorReport::events, ResultSink::OnEvent). Every generic layer (sinks,
+/// oracle, differential, net fusion, pcap export) consumes it.
 struct ProtocolEvent {
   Protocol protocol = Protocol::kUnknown;
   std::int64_t start_sample = 0;
@@ -51,18 +51,22 @@ struct ProtocolEvent {
   int channel = -1;                     // protocol channel index, -1 if n/a
   bool crc_ok = false;                  // frame check (FCS/CRC/HEC) passed
   std::vector<std::uint8_t> payload;    // decoded payload / PDU bytes
+  /// Protocol-defined header word, rendered by the bundle's describe():
+  ///   802.11:    bits 0-7 PLCP SIGNAL rate code, bit 8 payload decoded;
+  ///   Bluetooth: bits 0-23 LAP, bits 24-27 packet type;
+  ///   others:    0.
+  std::uint32_t header = 0;
 };
 
 /// Pipeline-level switches handed to a bundle's detector factory. Each
-/// bundle gates its own hooks on the relevant switches (e.g. the ZigBee
-/// bundle returns no hooks unless zigbee_detector is set), which keeps the
-/// pipeline free of per-protocol conditionals.
+/// bundle gates its own hooks on the relevant switches (e.g. the 802.11
+/// bundle builds no timing hook without timing_detectors), which keeps the
+/// pipeline free of per-protocol conditionals. Whether a bundle's factory
+/// runs at all is the bundle mask's decision.
 struct DetectorSetup {
   bool timing_detectors = true;
   bool phase_detectors = true;
   bool freq_detector = false;
-  bool microwave_detector = false;
-  bool zigbee_detector = false;
   double noise_floor_power = 1.0;
 };
 
@@ -124,7 +128,9 @@ struct ProtocolBundle {
   /// Feature-table rows (paper Table 2) contributed by this protocol.
   std::vector<ProtocolFeatures> features;
 
-  /// Member of the default bundle mask (DefaultBundleMask()).
+  /// Member of the default bundle mask (DefaultBundleMask()). The default
+  /// set is also what the streaming monitor keeps at shed stage 1: every
+  /// other bundle is optional and shed first.
   bool default_enabled = true;
   /// Naive architectures demodulate this protocol over the full capture
   /// (and tag its intervals from the energy gate).
@@ -145,11 +151,10 @@ struct ProtocolBundle {
   std::function<AnalysisPlan(const AnalysisConfig&)> analysis_plan;
   /// One demodulation unit (invoked units times per interval).
   std::function<AnalysisCommit(const AnalysisUnitContext&, int unit)> run_unit;
-  /// Converts this protocol's legacy typed MonitorReport vector into generic
-  /// events. Empty for bundles whose run_unit commits ProtocolEvents
-  /// natively.
-  std::function<void(const MonitorReport&, std::vector<ProtocolEvent>&)>
-      collect_events;
+  /// Renders one of this protocol's events as the CLI's listing text: the
+  /// protocol column, then e.g. rate, MAC kind and addresses for 802.11.
+  /// Empty = the generic "channel, length, crc" line.
+  std::function<std::string(const ProtocolEvent&)> describe;
 
   /// Scenario-DSL hook: this protocol's traffic op in the canned mixed
   /// scenario. Receives the ether, the op's start sample and the builder's

@@ -1,28 +1,21 @@
 #pragma once
 // core::ResultSink — the unified result-emission API (DESIGN.md §10).
 //
-// The streaming monitor used to expose four independent std::function
-// callbacks (wifi / bt / detection / health); the batch pipelines exposed
-// none and returned everything in a MonitorReport. Parallelising the
-// analysis stage forces a single synchronised emission point anyway — the
-// ordered merge hands results to exactly one consumer, in stream order — so
-// that point becomes an interface both operating modes share:
+// Parallelising the analysis stage forces a single synchronised emission
+// point — the ordered merge hands results to exactly one consumer, in stream
+// order — so that point is an interface both operating modes share:
 //
 //  * StreamingMonitor::Config::sink receives results continuously, block by
-//    block, in absolute stream coordinates. The legacy on_* callback
-//    members still work (they are shims routed through an internal
-//    FunctionSink) but are deprecated and will be removed next release.
+//    block, in absolute stream coordinates.
 //  * RFDumpPipeline / NaivePipeline invoke an optional sink as Process()
 //    emits into the MonitorReport, so a live consumer can observe a batch
 //    run without waiting for the report.
 //
 // Threading contract: emitters serialise all calls — a sink never sees two
 // concurrent invocations, regardless of --threads, and events for one block
-// arrive in stream order (health first, then frames/packets/detections).
+// arrive in stream order (health first, then detections, then decodes).
 // Sink implementations therefore need no locking of their own.
 
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "rfdump/core/pipeline.hpp"
@@ -35,23 +28,8 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
 
-  /// A decoded 802.11 frame. Positions are absolute stream sample indices.
-  virtual void OnWifiFrame(const phy80211::DecodedFrame& frame) {
-    (void)frame;
-  }
-  /// A decoded Bluetooth baseband packet.
-  virtual void OnBtPacket(const phybt::DecodedBtPacket& packet) {
-    (void)packet;
-  }
-  /// A decoded 802.15.4 (ZigBee) frame.
-  virtual void OnZbFrame(const phyzigbee::DecodedZbFrame& frame) {
-    (void)frame;
-  }
-  /// A generic protocol-tagged decode event (MonitorReport::events entry).
-  /// Emitted for every decode, after the typed OnWifiFrame/OnBtPacket/
-  /// OnZbFrame calls for the block; protocols without a typed vector (e.g.
-  /// BLE advertising) are only visible here. Protocol-generic consumers
-  /// should override this instead of the typed trio.
+  /// One decode (a MonitorReport::events entry), any protocol. Positions are
+  /// absolute stream sample indices.
   virtual void OnEvent(const ProtocolEvent& event) { (void)event; }
   /// A raw detector tag (pre-dispatch).
   virtual void OnDetection(const Detection& detection) { (void)detection; }
@@ -59,57 +37,14 @@ class ResultSink {
   virtual void OnHealth(const HealthReport& report) { (void)report; }
 };
 
-/// ResultSink assembled from per-event std::function slots; unset slots drop
-/// their events. This is the back-compat bridge for the old callback quartet.
-class FunctionSink final : public ResultSink {
- public:
-  std::function<void(const phy80211::DecodedFrame&)> on_wifi_frame;
-  std::function<void(const phybt::DecodedBtPacket&)> on_bt_packet;
-  std::function<void(const phyzigbee::DecodedZbFrame&)> on_zb_frame;
-  std::function<void(const ProtocolEvent&)> on_event;
-  std::function<void(const Detection&)> on_detection;
-  std::function<void(const HealthReport&)> on_health;
-
-  void OnWifiFrame(const phy80211::DecodedFrame& frame) override {
-    if (on_wifi_frame) on_wifi_frame(frame);
-  }
-  void OnBtPacket(const phybt::DecodedBtPacket& packet) override {
-    if (on_bt_packet) on_bt_packet(packet);
-  }
-  void OnZbFrame(const phyzigbee::DecodedZbFrame& frame) override {
-    if (on_zb_frame) on_zb_frame(frame);
-  }
-  void OnEvent(const ProtocolEvent& event) override {
-    if (on_event) on_event(event);
-  }
-  void OnDetection(const Detection& detection) override {
-    if (on_detection) on_detection(detection);
-  }
-  void OnHealth(const HealthReport& report) override {
-    if (on_health) on_health(report);
-  }
-};
-
 /// ResultSink that accumulates everything it receives — the test/tooling
 /// workhorse for comparing a streamed emission against a batch report.
 class CollectingSink final : public ResultSink {
  public:
-  std::vector<phy80211::DecodedFrame> wifi_frames;
-  std::vector<phybt::DecodedBtPacket> bt_packets;
-  std::vector<phyzigbee::DecodedZbFrame> zb_frames;
   std::vector<ProtocolEvent> events;
   std::vector<Detection> detections;
   std::vector<HealthReport> health;
 
-  void OnWifiFrame(const phy80211::DecodedFrame& frame) override {
-    wifi_frames.push_back(frame);
-  }
-  void OnBtPacket(const phybt::DecodedBtPacket& packet) override {
-    bt_packets.push_back(packet);
-  }
-  void OnZbFrame(const phyzigbee::DecodedZbFrame& frame) override {
-    zb_frames.push_back(frame);
-  }
   void OnEvent(const ProtocolEvent& event) override {
     events.push_back(event);
   }

@@ -20,13 +20,14 @@
 // zeroed before it can poison averages. Every block yields a HealthReport.
 //
 // Overload (CPU > real time) triggers graceful load shedding in the paper's
-// own priority order: optional detectors first, then demodulation of
-// low-confidence tags, then demodulation entirely (detection-only, the cheap
-// mode of Fig 9). Hysteresis restores stages as load falls.
+// own priority order: optional protocols and detectors first, then
+// demodulation of low-confidence tags, then demodulation entirely
+// (detection-only, the cheap mode of Fig 9). Hysteresis restores stages as
+// load falls.
 //
 // Execution model (DESIGN.md §10): with Config::threads == 1 the monitor is
-// fully serial — every Push runs detection and analysis inline, exactly the
-// historical behaviour. With threads >= 2 the monitor pipelines: the caller
+// fully serial — every Push runs detection and analysis inline, on the live
+// buffer. With threads >= 2 the monitor pipelines: the caller
 // thread keeps doing ingest + detection, completed blocks are handed to an
 // internal analyzer thread through a bounded queue (double-buffering:
 // detection of block N+1 overlaps analysis of block N), and the analyzer
@@ -41,7 +42,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -107,16 +107,15 @@ class StreamingMonitor {
     /// is reported to the shed controller as overload. Must be >= 1.
     std::size_t max_queue_blocks = 2;
 
-    /// Unified result sink (non-owning; see core/result_sink.hpp): decoded
-    /// frames/packets, detections and per-block health all emit here, from
-    /// one synchronised emission point. The legacy on_* callback members on
-    /// the monitor still fire (back-compat shims through the same path) but
-    /// are deprecated in favour of this.
+    /// Result sink (non-owning; see core/result_sink.hpp): decodes,
+    /// detections and per-block health all emit here, from one synchronised
+    /// emission point.
     ResultSink* sink = nullptr;
 
     /// CPU-over-real-time budget per block. 0 disables load shedding.
     /// When a block's load exceeds the budget the monitor sheds one stage:
-    ///   1: optional detectors off (freq/microwave/zigbee/collision)
+    ///   1: only default-enabled bundles stay in the bundle mask (BLE,
+    ///      ZigBee and microwave go), freq and collision detectors off
     ///   2: + demodulation only for tags with confidence >= shed_min_confidence
     ///   3: + no demodulation at all (detection-only)
     double cpu_budget = 0.0;
@@ -158,7 +157,7 @@ class StreamingMonitor {
   /// `PushSegment(next_expected_timestamp, segment)`: the timestamp
   /// auto-advances past everything pushed so far (first call anchors the
   /// stream at 0), so there is exactly one ingest path and mixing Push with
-  /// PushSegment is well-defined. May invoke sink/callbacks.
+  /// PushSegment is well-defined. May invoke the sink.
   void Push(dsp::const_sample_span segment);
 
   /// Feeds a timestamped segment: `start_sample` is the absolute stream
@@ -174,16 +173,6 @@ class StreamingMonitor {
   /// for pushed samples has been emitted and the accessors below are safe
   /// to read even with threads >= 2.
   void Flush();
-
-  /// Legacy per-event callbacks (positions are absolute stream indices).
-  /// Deprecated: thin shims kept for one release — they are invoked through
-  /// the same single emission point as Config::sink, which also receives
-  /// ZigBee frames (these callbacks never did). Prefer Config::sink.
-  std::function<void(const phy80211::DecodedFrame&)> on_wifi_frame;
-  std::function<void(const phybt::DecodedBtPacket&)> on_bt_packet;
-  std::function<void(const Detection&)> on_detection;
-  /// Called once per processed block with that block's health.
-  std::function<void(const HealthReport&)> on_health;
 
   /// Aggregate stage costs across all processed blocks.
   const std::vector<StageCost>& costs() const { return costs_; }
@@ -220,12 +209,12 @@ class StreamingMonitor {
   Supervisor& supervisor() { return supervisor_; }
 
  private:
-  /// One detected block handed from the ingest/detect thread to the
-  /// analyzer (pipelined mode). Carries everything the analyzer needs so
-  /// the two threads share no mutable monitor state: the sample copy, the
-  /// detection output, the emission window, and the ingest tallies.
+  /// One detected block, ready for analysis. Carries everything the
+  /// analysis half needs so that, pipelined, the ingest and analyzer threads
+  /// share no mutable monitor state: the detection output, the emission
+  /// window, the ingest tallies and (pipelined only) the sample copy.
   struct BlockJob {
-    dsp::SampleVec samples;
+    dsp::SampleVec samples;      // pipelined mode: copy of the block
     DetectOutput det;
     std::int64_t base = 0;       // absolute index of samples[0]
     std::size_t take = 0;        // block length
@@ -242,28 +231,23 @@ class StreamingMonitor {
   };
 
   [[nodiscard]] bool pipelined() const { return analyzer_.joinable(); }
+  /// Ingest half of a block: detect on the calling thread and package a
+  /// BlockJob; serial mode then runs AnalyzeBlock inline on the live
+  /// buffer, pipelined mode copies the block and enqueues the job (blocking
+  /// when full). Either way the ingest state advances afterwards.
   void ProcessBlock(bool final_block, bool gap_cut);
-  /// Pipelined-mode block hand-off: detect on the calling thread, package a
-  /// BlockJob, advance the ingest state, enqueue (blocking when full).
-  void EnqueueBlock(bool final_block, bool gap_cut);
   void AnalyzerLoop();
-  /// Analyzer-side half of a block: analysis fan-out, health, emission,
-  /// shed-controller update.
-  void AnalyzeBlock(BlockJob& job);
+  /// Analysis half of a block over its samples `x`: analysis fan-out,
+  /// health, emission, shed-controller update.
+  void AnalyzeBlock(BlockJob& job, dsp::const_sample_span x);
   /// Blocks until the analyzer queue is empty and the analyzer is idle.
   void DrainQueue();
-  /// Serial-mode health emission: folds the pending ingest tallies into `h`
+  /// Empty-block health emission: folds the pending ingest tallies into `h`
   /// and forwards to RecordHealth.
   void EmitHealth(HealthReport h);
   /// Summary/ring/metrics bookkeeping + health emission (tally-free; safe
   /// from the analyzer thread).
   void RecordHealth(const HealthReport& h);
-  // The single emission point: Config::sink plus the legacy callback shims.
-  void EmitWifi(const phy80211::DecodedFrame& f);
-  void EmitBt(const phybt::DecodedBtPacket& p);
-  void EmitZb(const phyzigbee::DecodedZbFrame& z);
-  void EmitEvent(const ProtocolEvent& e);
-  void EmitDetection(const Detection& d);
   void UpdateShedding(double block_load, bool deadline_pressure,
                       bool backpressure);
   void ApplyShedStage();

@@ -21,15 +21,14 @@
 // into Counts (registry-independent; works with RFDUMP_OBS=OFF), which the
 // streaming monitor deltas into per-block HealthReports.
 //
-// Concurrency: Supervise() may be called from multiple analysis workers
-// concurrently — breaker, quarantine and counter state are mutex-protected,
-// and the supervised closure itself runs outside the lock. The parallel
-// analysis path (core::Executor, DESIGN.md §10) uses the split form of the
-// same boundary: Admit() on the driver thread in dispatch order (so breaker
-// decisions are deterministic for a given stream), the units run on workers
-// charging the shared Admission budget, and Finish() closes the boundary
-// exactly once when the last unit completes. Supervise() is implemented on
-// top of Admit()/Finish() and keeps its exact historical semantics.
+// Concurrency: the boundary is split in two. The analysis stage
+// (core::Executor, DESIGN.md §10) calls Admit() on the driver thread in
+// dispatch order (so breaker decisions are deterministic for a given
+// stream), the units run on workers charging the shared Admission budget,
+// and Finish() closes the boundary exactly once when the last unit
+// completes. Breaker, quarantine and counter state are mutex-protected, so
+// both calls are safe from any thread; the units themselves run outside
+// the lock.
 
 #include <atomic>
 #include <cstdint>
@@ -159,16 +158,6 @@ class Supervisor {
   /// => kDeadline, else kOk); `interval` feeds the quarantine snapshot.
   Outcome Finish(Admission& admission, Outcome outcome, std::string error,
                  dsp::const_sample_span interval);
-
-  /// Runs `fn` under the stage boundary: breaker check, armed budget,
-  /// exception containment, outcome accounting, quarantine on failure.
-  /// `start`/`end` are interval positions relative to the current stream
-  /// offset (set_stream_offset); `interval` is the dispatched sample range
-  /// (snapshot source). `fn` receives the armed budget to wire into the
-  /// demodulator config.
-  Outcome Supervise(Protocol p, std::int64_t start, std::int64_t end,
-                    dsp::const_sample_span interval,
-                    const std::function<void(util::WorkBudget&)>& fn);
 
   /// Exception containment for cheap detector calls (no budget, no breaker):
   /// a throwing detector loses its tags for this chunk, nothing else.

@@ -32,7 +32,7 @@ namespace rfdump::net {
 /// position" without shipping payloads.
 struct EventRecord {
   core::Protocol protocol = core::Protocol::kUnknown;
-  std::int16_t channel = -1;  // Bluetooth visible channel index, -1 otherwise
+  std::int16_t channel = -1;  // protocol channel index, -1 if n/a
   std::int64_t start_sample = 0;  // sensor-local timeline
   std::int64_t end_sample = 0;
   std::uint32_t payload_bytes = 0;
@@ -44,13 +44,8 @@ struct EventRecord {
 
 [[nodiscard]] std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes);
 
-/// Builds EventRecords from a monitor's decoded outputs. The generic
-/// overload covers every registered protocol (the sensor sink uses it);
-/// the typed ones remain for hand-built legacy reports.
+/// Compacts one decode for the wire.
 [[nodiscard]] EventRecord ToEventRecord(const core::ProtocolEvent& ev);
-[[nodiscard]] EventRecord ToEventRecord(const phy80211::DecodedFrame& f);
-[[nodiscard]] EventRecord ToEventRecord(const phybt::DecodedBtPacket& p);
-[[nodiscard]] EventRecord ToEventRecord(const phyzigbee::DecodedZbFrame& z);
 
 /// Session (re)establishment. `epoch` increments on every sensor-side
 /// reconnect so the aggregator can tell a fresh session from a delayed

@@ -88,7 +88,8 @@ struct DifferentialResult {
     std::span<const std::uint64_t> seeds, const DifferentialPolicy& policy = {});
 
 /// Byte-exact, result-bearing fingerprint of a report: one line per
-/// detection/decode/event including payload bytes. Equal fingerprints mean
+/// detection, and one line of the same format per event (protocol, channel,
+/// start, end, crc, header, payload bytes). Equal fingerprints mean
 /// the reports are interchangeable. Used for the rfdump@1 vs rfdump@N
 /// determinism gate and for the forced-scalar vs forced-SIMD dispatch-tier
 /// differential (DESIGN.md §16).

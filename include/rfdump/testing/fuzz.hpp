@@ -12,15 +12,12 @@
 //     chunked-feed differential that must parse identically), plus every
 //     net message codec (incl. kMetrics) on frame payloads and raw bytes
 //
-// The fuzz/ executables wrap each target's `run` hook in
-// `LLVMFuzzerTestOneInput` for libFuzzer (clang builds only), and the
-// in-tree `CorpusRunner` drives it over the checked-in corpus plus
+// The fuzz/ executables look their target up by name and wrap its `run`
+// hook in `LLVMFuzzerTestOneInput` for libFuzzer (clang builds only), and
+// the in-tree `CorpusRunner` drives it over the checked-in corpus plus
 // deterministic mutations with no external dependency. Everything is seeded:
 // a failing corpus run names the input file (or the master seed + round that
 // mutated it), and re-running reproduces the failure bit-for-bit.
-//
-// The FuzzTarget enum remains as a legacy shim over the first four targets;
-// registry-enumerating callers use FuzzTargetRef and never touch it.
 
 #include <cstdint>
 #include <functional>
@@ -33,26 +30,20 @@
 
 namespace rfdump::testing {
 
-enum class FuzzTarget : std::uint8_t {
-  kPhy80211Plcp = 0,
-  kPhyBtPacket,
-  kPhyZigbee,
-  kNetFrame,
-};
-inline constexpr std::size_t kFuzzTargetCount = 4;
-
-[[nodiscard]] const char* FuzzTargetName(FuzzTarget t);
-
-/// Corpus subdirectory name for a target (e.g. "phy80211_plcp").
-[[nodiscard]] const char* FuzzCorpusDirName(FuzzTarget t);
-
 /// One enumerable fuzz target: a protocol bundle's fuzz hooks, or the
 /// testing-layer net-frame target.
 struct FuzzTargetRef {
   std::string name;        // e.g. "phyble-adv"
   std::string corpus_dir;  // subdirectory under tests/corpus/
-  /// Runs one whole input (first byte = mode selector, by convention);
-  /// returns the number of successful decodes.
+  /// Runs one fuzz input through the target decoder(s). The first byte
+  /// selects the sub-mode (bit-level parser vs full sample-level
+  /// demodulator); the rest is the payload, interpreted as descrambled bits
+  /// or as interleaved signed I/Q bytes. Returns the number of successful
+  /// decodes (corpus health statistic). Decoder exceptions propagate — the
+  /// corpus runner records them as findings; under libFuzzer they abort.
+  /// The budget, when non-null, is armed by the caller; the decoders charge
+  /// against it exactly as they do under the supervisor, so fuzzing
+  /// exercises the cooperative-deadline paths too.
   std::function<int(std::span<const std::uint8_t>, util::WorkBudget*)> run;
   /// Generates the i-th seed-corpus input.
   std::function<std::vector<std::uint8_t>(std::size_t, util::Xoshiro256&)>
@@ -63,22 +54,6 @@ struct FuzzTargetRef {
 /// protocol-id order, then the net-frame target. Adding a protocol bundle
 /// with fuzz hooks extends this list with zero edits here.
 [[nodiscard]] std::vector<FuzzTargetRef> EnumerateFuzzTargets();
-
-/// Legacy enum -> target ref (the first three map to registry bundles).
-[[nodiscard]] FuzzTargetRef FuzzTargetRefFor(FuzzTarget t);
-
-/// Runs one fuzz input through the target decoder(s). The first byte of
-/// `data` selects the sub-mode (bit-level parser vs full sample-level
-/// demodulator); the rest is the payload, interpreted as descrambled bits or
-/// as interleaved signed I/Q bytes. Returns the number of successful decodes
-/// (corpus health statistic). Decoder exceptions propagate to the caller —
-/// the corpus runner records them as findings; under libFuzzer they abort.
-///
-/// `budget`, when non-null, is armed by the *caller*; the decoders charge
-/// against it exactly as they do under the supervisor, so fuzzing exercises
-/// the cooperative-deadline paths too.
-int RunFuzzInput(FuzzTarget target, std::span<const std::uint8_t> data,
-                 util::WorkBudget* budget = nullptr);
 
 /// Applies one seeded mutation (bit flip, byte splat, truncate, duplicate,
 /// insert, chunk swap) in place. Deterministic given the RNG state.
@@ -92,10 +67,6 @@ void MutateInput(std::vector<std::uint8_t>& data, util::Xoshiro256& rng);
 /// with the same seed is bit-identical, so the checked-in corpus under
 /// tests/corpus/ can always be rebuilt (see README).
 std::size_t WriteSeedCorpus(const FuzzTargetRef& ref, const std::string& dir,
-                            std::size_t count = 100, std::uint64_t seed = 1);
-
-/// Legacy-enum convenience overload.
-std::size_t WriteSeedCorpus(FuzzTarget target, const std::string& dir,
                             std::size_t count = 100, std::uint64_t seed = 1);
 
 /// In-tree corpus runner: executes every file in a corpus directory (plus
@@ -122,14 +93,11 @@ class CorpusRunner {
 
   /// One crash or hang, with enough context to reproduce it.
   struct Finding {
-    FuzzTarget target = FuzzTarget::kPhy80211Plcp;
+    std::string target_name; // FuzzTargetRef::name
     std::string kind;        // "crash" | "hang"
     std::string input_name;  // corpus file, or "<file>+round<k>" for mutants
     std::string detail;      // exception what() or elapsed wall time
     std::string repro_path;  // written repro file ("" if repro_dir unset)
-    /// Target name (FuzzTargetRef::name); set for every finding, including
-    /// registry targets the legacy enum cannot represent.
-    std::string target_name;
   };
 
   struct Result {
@@ -140,7 +108,6 @@ class CorpusRunner {
 
     [[nodiscard]] bool ok() const { return findings.empty(); }
     [[nodiscard]] std::string Summary(const std::string& target_name) const;
-    [[nodiscard]] std::string Summary(FuzzTarget target) const;
   };
 
   explicit CorpusRunner(Config config) : config_(std::move(config)) {}
@@ -149,13 +116,9 @@ class CorpusRunner {
   /// order-deterministic), then `config.mutation_rounds` mutants of each.
   [[nodiscard]] Result RunDirectory(const FuzzTargetRef& ref,
                                     const std::string& corpus_dir);
-  [[nodiscard]] Result RunDirectory(FuzzTarget target,
-                                    const std::string& corpus_dir);
 
   /// Runs a single in-memory input (used by RunDirectory and by tests).
   void RunOne(const FuzzTargetRef& ref, std::span<const std::uint8_t> data,
-              const std::string& input_name, Result& result);
-  void RunOne(FuzzTarget target, std::span<const std::uint8_t> data,
               const std::string& input_name, Result& result);
 
  private:

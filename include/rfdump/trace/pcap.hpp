@@ -5,22 +5,23 @@
 // timestamped from the sample position; wireshark opens it directly.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/protocol_registry.hpp"
 
 namespace rfdump::trace {
 
 /// LINKTYPE_IEEE802_11 per the pcap spec.
 inline constexpr std::uint32_t kLinkType80211 = 105;
 
-/// Writes the decoded 802.11 frames of a monitor report to `path` as a pcap
-/// file. Only frames with decoded payloads are written (header-only CCK
-/// detections carry no bytes). Returns the number of records written.
-/// Throws std::runtime_error on I/O failure.
+/// Writes the 802.11 events among `events` (e.g. MonitorReport::events) to
+/// `path` as a pcap file. Only events with decoded payloads are written
+/// (header-only CCK detections carry no bytes). Returns the number of
+/// records written. Throws std::runtime_error on I/O failure.
 std::size_t WritePcap(const std::string& path,
-                      const std::vector<phy80211::DecodedFrame>& frames,
+                      std::span<const core::ProtocolEvent> events,
                       double sample_rate_hz = dsp::kSampleRateHz);
 
 /// Minimal pcap reader for round-trip testing: returns (timestamp_us, bytes)

@@ -23,19 +23,19 @@ ProtocolBundle MakeMicrowaveBundle() {
       {Protocol::kMicrowave, "Residential microwave", 16667.0, 0.0,
        Modulation::kNoise, "-", 40.0, 0.0},
   };
-  b.default_enabled = true;
+  // Opt-in (EnableBundle(Protocol::kMicrowave) / --protocols microwave), so
+  // shed stage 1 drops it.
+  b.default_enabled = false;
   // Between the Bluetooth and ZigBee timing detectors, the historical order.
   b.detect_rank = 2;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [](const DetectorSetup&) {
     ProtocolDetectors d;
-    if (setup.microwave_detector) {
-      auto timing = std::make_shared<MicrowaveTimingDetector>();
-      d.on_peaks = [timing](std::span<const Peak> fresh) {
-        return timing->OnPeaks(fresh);
-      };
-      d.peaks_stage = "detect/timing-microwave";
-    }
+    auto timing = std::make_shared<MicrowaveTimingDetector>();
+    d.on_peaks = [timing](std::span<const Peak> fresh) {
+      return timing->OnPeaks(fresh);
+    };
+    d.peaks_stage = "detect/timing-microwave";
     return d;
   };
   // No analysis_plan: microwave intervals are detection-only.

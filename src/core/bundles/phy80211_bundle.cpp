@@ -12,6 +12,7 @@
 #include "rfdump/core/pipeline.hpp"
 #include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/core/timing_detectors.hpp"
+#include "rfdump/mac80211/frames.hpp"
 #include "rfdump/phy80211/demodulator.hpp"
 #include "rfdump/phy80211/modulator.hpp"
 #include "rfdump/phy80211/plcp.hpp"
@@ -21,6 +22,9 @@
 
 namespace rfdump::core {
 namespace {
+
+/// ProtocolEvent::header bit 8: the MPDU was decoded (not header-only).
+constexpr std::uint32_t kPayloadDecoded = 1u << 8;
 
 std::vector<std::uint8_t> WifiSeedInput(std::size_t i, util::Xoshiro256& rng) {
   switch (i % 5) {
@@ -147,9 +151,9 @@ ProtocolBundle MakeWifiBundle() {
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    p.units = a.wifi_demod ? 1 : -1;
+    p.units = 1;
     p.stage = "analysis/80211-demod";
     return p;
   };
@@ -157,26 +161,42 @@ ProtocolBundle MakeWifiBundle() {
     phy80211::Demodulator::Config cfg;
     cfg.budget = ctx.budget;
     phy80211::Demodulator wifi(cfg);
-    auto frames = wifi.DecodeAll(ctx.span);
-    for (auto& f : frames) {
-      f.start_sample += ctx.start_sample;
-      f.end_sample += ctx.start_sample;
-    }
-    return [frames = std::move(frames)](MonitorReport& report) mutable {
-      for (auto& f : frames) report.wifi_frames.push_back(std::move(f));
-    };
-  };
-  b.collect_events = [](const MonitorReport& report,
-                        std::vector<ProtocolEvent>& out) {
-    for (const auto& f : report.wifi_frames) {
+    std::vector<ProtocolEvent> events;
+    for (auto& f : wifi.DecodeAll(ctx.span)) {
       ProtocolEvent e;
       e.protocol = Protocol::kWifi80211b;
-      e.start_sample = f.start_sample;
-      e.end_sample = f.end_sample;
+      e.start_sample = f.start_sample + ctx.start_sample;
+      e.end_sample = f.end_sample + ctx.start_sample;
       e.crc_ok = f.fcs_ok;
-      e.payload = f.mpdu;
-      out.push_back(std::move(e));
+      e.payload = std::move(f.mpdu);
+      e.header = static_cast<std::uint32_t>(f.header.rate) |
+                 (f.payload_decoded ? kPayloadDecoded : 0u);
+      events.push_back(std::move(e));
     }
+    return [events = std::move(events)](MonitorReport& report) mutable {
+      for (auto& e : events) report.events.push_back(std::move(e));
+    };
+  };
+  b.describe = [](const ProtocolEvent& e) {
+    std::string info = "802.11b    ";
+    info += phy80211::RateName(static_cast<phy80211::Rate>(e.header & 0xFF));
+    if (e.crc_ok) {
+      if (const auto mac = mac80211::ParseFrame(e.payload)) {
+        info += std::string(" ") + mac80211::FrameKindName(mac->kind);
+        if (mac->kind == mac80211::FrameKind::kData) {
+          info += " " + mac80211::ToString(mac->addr2) + " > " +
+                  mac80211::ToString(mac->addr1) + " (" +
+                  std::to_string(e.payload.size()) + " B)";
+        }
+      } else {
+        info += " undecodable MAC frame";
+      }
+    } else if ((e.header & kPayloadDecoded) != 0) {
+      info += " BAD FCS";
+    } else {
+      info += " header only (rate beyond decoder)";
+    }
+    return info;
   };
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {

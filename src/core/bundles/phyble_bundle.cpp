@@ -177,7 +177,6 @@ ProtocolBundle MakeBleBundle() {
       for (auto& e : events) report.events.push_back(std::move(e));
     };
   };
-  // No collect_events: BLE commits ProtocolEvents natively.
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {
     traffic::BleAdvConfig cfg;

@@ -6,6 +6,7 @@
 // per-protocol ctest labels — keep in sync with cli_name below)
 
 #include <algorithm>
+#include <cstdio>
 
 #include "rfdump/core/freq_detector.hpp"
 #include "rfdump/core/fuzz_io.hpp"
@@ -202,27 +203,31 @@ ProtocolBundle MakeBtBundle() {
     cfg.noise_floor_power = ctx.noise_floor_power;
     cfg.budget = ctx.budget;
     phybt::Demodulator bt(cfg);
-    auto packets = bt.DecodeAll(ctx.span);
-    for (auto& p : packets) {
-      p.start_sample += ctx.start_sample;
-      p.end_sample += ctx.start_sample;
-    }
-    return [packets = std::move(packets)](MonitorReport& report) mutable {
-      for (auto& p : packets) report.bt_packets.push_back(std::move(p));
-    };
-  };
-  b.collect_events = [](const MonitorReport& report,
-                        std::vector<ProtocolEvent>& out) {
-    for (const auto& p : report.bt_packets) {
+    std::vector<ProtocolEvent> events;
+    for (auto& p : bt.DecodeAll(ctx.span)) {
       ProtocolEvent e;
       e.protocol = Protocol::kBluetooth;
-      e.start_sample = p.start_sample;
-      e.end_sample = p.end_sample;
+      e.start_sample = p.start_sample + ctx.start_sample;
+      e.end_sample = p.end_sample + ctx.start_sample;
       e.channel = p.channel_index;
       e.crc_ok = p.packet.crc_ok;
-      e.payload = p.packet.payload;
-      out.push_back(std::move(e));
+      e.payload = std::move(p.packet.payload);
+      e.header = (p.lap & 0xFFFFFFu) |
+                 (static_cast<std::uint32_t>(p.packet.header.type) << 24);
+      events.push_back(std::move(e));
     }
+    return [events = std::move(events)](MonitorReport& report) mutable {
+      for (auto& e : events) report.events.push_back(std::move(e));
+    };
+  };
+  b.describe = [](const ProtocolEvent& e) {
+    char buf[160];
+    std::snprintf(
+        buf, sizeof(buf), "bluetooth  LAP %06x ch %d %s %zu B crc %s",
+        e.header & 0xFFFFFFu, e.channel,
+        phybt::PacketTypeName(static_cast<phybt::PacketType>(e.header >> 24)),
+        e.payload.size(), e.crc_ok ? "ok" : "BAD");
+    return std::string(buf);
   };
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {

@@ -84,7 +84,9 @@ ProtocolBundle MakeZigbeeBundle() {
       {Protocol::kZigbee, "802.15.4 (ZigBee)", 320.0, 192.0,
        Modulation::kOqpsk, "DSSS-32", 5.0, 62.5e3},
   };
-  b.default_enabled = true;
+  // Opt-in (EnableBundle(Protocol::kZigbee) / --protocols zigbee), so shed
+  // stage 1 drops it.
+  b.default_enabled = false;
   b.naive_member = false;
   b.differential_member = false;
   b.oracle_scored = true;
@@ -92,21 +94,19 @@ ProtocolBundle MakeZigbeeBundle() {
   // detector before the ZigBee one.
   b.detect_rank = 3;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [](const DetectorSetup&) {
     ProtocolDetectors d;
-    if (setup.zigbee_detector) {
-      auto timing = std::make_shared<ZigbeeTimingDetector>();
-      d.on_peaks = [timing](std::span<const Peak> fresh) {
-        return timing->OnPeaks(fresh);
-      };
-      d.peaks_stage = "detect/timing-zigbee";
-    }
+    auto timing = std::make_shared<ZigbeeTimingDetector>();
+    d.on_peaks = [timing](std::span<const Peak> fresh) {
+      return timing->OnPeaks(fresh);
+    };
+    d.peaks_stage = "detect/timing-zigbee";
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    p.units = a.zigbee_demod ? 1 : -1;
+    p.units = 1;
     p.stage = "analysis/zigbee-demod";
     return p;
   };
@@ -120,23 +120,15 @@ ProtocolBundle MakeZigbeeBundle() {
         phyzigbee::DecodeFrame(ctx.span);
     if (!frame) return {};
     c_frames.Inc();
-    frame->start_sample += ctx.start_sample;
-    frame->end_sample += ctx.start_sample;
-    return [f = std::move(*frame)](MonitorReport& report) mutable {
-      report.zb_frames.push_back(std::move(f));
+    ProtocolEvent e;
+    e.protocol = Protocol::kZigbee;
+    e.start_sample = frame->start_sample + ctx.start_sample;
+    e.end_sample = frame->end_sample + ctx.start_sample;
+    e.crc_ok = frame->crc_ok;
+    e.payload = std::move(frame->psdu);
+    return [e = std::move(e)](MonitorReport& report) mutable {
+      report.events.push_back(std::move(e));
     };
-  };
-  b.collect_events = [](const MonitorReport& report,
-                        std::vector<ProtocolEvent>& out) {
-    for (const auto& z : report.zb_frames) {
-      ProtocolEvent e;
-      e.protocol = Protocol::kZigbee;
-      e.start_sample = z.start_sample;
-      e.end_sample = z.end_sample;
-      e.crc_ok = z.crc_ok;
-      e.payload = z.psdu;
-      out.push_back(std::move(e));
-    }
   };
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {

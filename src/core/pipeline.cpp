@@ -82,34 +82,11 @@ class PerProtocolCounter {
   std::array<obs::Counter*, kProtocolCount> counters_{};
 };
 
-// Deduplicates frames/packets found by more than one pass over overlapping
-// intervals. Runs on the full per-report vectors, so serial and parallel
-// analysis produce identical output as long as they append in the same
-// (interval x unit) submission order — which both do.
+// Deduplicates events found by more than one pass over overlapping
+// intervals: per protocol and channel, decodes starting within 16 samples of
+// each other are one transmission. Runs on the merged report, so the result
+// does not depend on the analysis width.
 void DedupAnalysisResults(MonitorReport& report) {
-  std::sort(report.bt_packets.begin(), report.bt_packets.end(),
-            [](const auto& a, const auto& b) {
-              return a.start_sample < b.start_sample;
-            });
-  report.bt_packets.erase(
-      std::unique(report.bt_packets.begin(), report.bt_packets.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.channel_index == b.channel_index &&
-                           std::llabs(a.start_sample - b.start_sample) < 16;
-                  }),
-      report.bt_packets.end());
-  std::sort(report.wifi_frames.begin(), report.wifi_frames.end(),
-            [](const auto& a, const auto& b) {
-              return a.start_sample < b.start_sample;
-            });
-  report.wifi_frames.erase(
-      std::unique(report.wifi_frames.begin(), report.wifi_frames.end(),
-                  [](const auto& a, const auto& b) {
-                    return std::llabs(a.start_sample - b.start_sample) < 16;
-                  }),
-      report.wifi_frames.end());
-  // Native generic events (bundles without a typed vector) get the same
-  // treatment as the Bluetooth vector: per-protocol, per-channel dedup.
   std::sort(report.events.begin(), report.events.end(),
             [](const ProtocolEvent& a, const ProtocolEvent& b) {
               if (a.protocol != b.protocol) return a.protocol < b.protocol;
@@ -125,101 +102,27 @@ void DedupAnalysisResults(MonitorReport& report) {
       report.events.end());
 }
 
-// Rebuilds MonitorReport::events as the canonical generic view: bundles with
-// a legacy typed vector contribute through their collect_events shim; native
-// events (already in report.events, committed by run_unit) are kept in
-// place. Grouped by protocol id, preserving per-protocol decode order.
-void BuildEventView(MonitorReport& report) {
-  std::vector<ProtocolEvent> native = std::move(report.events);
-  std::vector<ProtocolEvent> events;
-  for (const auto& bundle : ProtocolRegistry::Instance().bundles()) {
-    if (bundle.collect_events) {
-      bundle.collect_events(report, events);
-    } else {
-      for (auto& e : native) {
-        if (e.protocol == bundle.protocol) events.push_back(std::move(e));
-      }
-    }
-  }
-  report.events = std::move(events);
-}
-
-// Runs the demodulator bank over the given per-protocol merged intervals
-// (pass a single full-span detection per protocol for the naive paths).
-// Which protocols run, how many units each interval fans out into, and what
-// a unit does all come from the interval's registry bundle. With a
-// supervisor, each interval's analysis runs inside a stage boundary (armed
-// WorkBudget, exception containment, breaker, quarantine); without one, the
-// closure runs directly with an unarmed (unlimited) budget, which preserves
-// the exact unsupervised batch semantics.
-void RunAnalysisSerial(const AnalysisConfig& analysis,
-                       double noise_floor_power, Supervisor* sup,
-                       const std::vector<Detection>& intervals,
-                       dsp::const_sample_span x, CostLedger& ledger,
-                       MonitorReport& report) {
-  util::WorkBudget unlimited;
-  const auto supervised =
-      [&](const Detection& d, dsp::const_sample_span span,
-          const std::function<void(util::WorkBudget&)>& fn) {
-        if (sup) {
-          return sup->Supervise(d.protocol, d.start_sample, d.end_sample,
-                                span, fn);
-        }
-        fn(unlimited);
-        return Outcome::kOk;
-      };
-  const auto& registry = ProtocolRegistry::Instance();
-  for (const auto& d : intervals) {
-    const ProtocolBundle* bundle = registry.Find(d.protocol);
-    if (bundle == nullptr || !bundle->analysis_plan ||
-        (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
-      continue;  // no analysis stage for this protocol
-    }
-    const AnalysisPlan plan = bundle->analysis_plan(analysis);
-    if (plan.units < 0) continue;  // disabled: no supervision boundary
-    const auto span = x.subspan(
-        static_cast<std::size_t>(d.start_sample),
-        static_cast<std::size_t>(d.end_sample - d.start_sample));
-    // All units of one interval share the interval's budget, so a runaway
-    // unit cannot starve the block (remaining units see the expired budget
-    // and bail when the bundle opts into the check).
-    supervised(d, span, [&](util::WorkBudget& budget) {
-      for (int unit = 0; unit < plan.units; ++unit) {
-        if (plan.check_budget && budget.expired()) break;
-        CostLedger::Scope scope(ledger, plan.stage, span.size());
-        AnalysisUnitContext ctx;
-        ctx.span = span;
-        ctx.start_sample = d.start_sample;
-        ctx.analysis = &analysis;
-        ctx.noise_floor_power = noise_floor_power;
-        ctx.budget = &budget;
-        if (AnalysisCommit commit = bundle->run_unit(ctx, unit)) {
-          commit(report);
-        }
-      }
-    });
-  }
-  DedupAnalysisResults(report);
-}
-
-// The parallel analysis path (DESIGN.md §10). Each dispatched interval x
-// analysis unit — e.g. every per-channel Bluetooth pass — is submitted as
-// one independent task writing into its own result slot; after the batch
-// joins, slots are merged in submission order, so the result-bearing report
-// fields are bit-identical to the serial run.
+// The analysis stage (DESIGN.md §10). Each dispatched interval x analysis
+// unit — e.g. every per-channel Bluetooth pass — is one task of an
+// Executor::Batch writing into its own result slot (a null or serial executor
+// runs the tasks inline); after the batch joins, slots are merged in
+// submission order, so the result-bearing report fields are bit-identical at
+// every width.
 //
 // Supervision uses the split boundary: Admit() on this (driver) thread in
 // interval order — deterministic breaker decisions — and one Finish() per
 // admitted interval at merge time, also in interval order, combining the
 // unit outcomes (first throwing unit in submission order wins the error
-// slot). Unlike the serial path, a throwing unit does not abort its sibling
-// channel units: they run to completion and their results are kept (the
-// "one worker cannot poison siblings" guarantee).
-void RunAnalysisParallel(const AnalysisConfig& analysis,
-                         double noise_floor_power, Supervisor* sup,
-                         Executor* ex, const std::vector<Detection>& intervals,
-                         dsp::const_sample_span x, CostLedger& ledger,
-                         MonitorReport& report) {
+// slot). A throwing unit never aborts its sibling units: they run to
+// completion and their results are kept ("one worker cannot poison
+// siblings"). Without a supervisor, every unit runs with an unarmed
+// (unlimited) budget and the first failing unit's exception is rethrown.
+void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
+                 Supervisor* sup, Executor* ex,
+                 const std::vector<Detection>& intervals,
+                 dsp::const_sample_span x, CostLedger& ledger,
+                 MonitorReport& report) {
+  if (!analysis.demodulate) return;
   // One result slot per task. Slots are written by exactly one worker each
   // and only read after Batch::Wait(), so they need no locking.
   struct UnitOut {
@@ -246,10 +149,9 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   const auto& registry = ProtocolRegistry::Instance();
 
   for (const auto& d : intervals) {
-    // Unit plan per protocol from the registry, mirroring the serial path
-    // exactly: a disabled bundle (negative unit count) never opens a
-    // supervision boundary; a zero-unit plan (e.g. Bluetooth with zero
-    // channels configured) still does.
+    // Unit plan per protocol from the registry: a disabled bundle (negative
+    // unit count) never opens a supervision boundary; a zero-unit plan (e.g.
+    // Bluetooth with zero channels configured) still does.
     const ProtocolBundle* bundle = registry.Find(d.protocol);
     if (bundle == nullptr || !bundle->analysis_plan ||
         (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
@@ -280,7 +182,7 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
       batch.Run([out, bundle, plan, budget, span, start, unit,
                  noise_floor_power, &analysis] {
         if (plan.check_budget && budget->expired()) {
-          return;  // the serial path's early break
+          return;  // all units of an interval share its budget
         }
         out->ran = true;
         out->stage = plan.stage;
@@ -310,7 +212,7 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   batch.Wait();
 
   // Deterministic ordered merge: jobs in interval order, units in
-  // submission order — the exact append order of the serial path.
+  // submission order.
   std::exception_ptr unsupervised_error;
   for (IntervalJob& job : jobs) {
     std::exception_ptr first_error;
@@ -340,21 +242,6 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   if (unsupervised_error) std::rethrow_exception(unsupervised_error);
 
   DedupAnalysisResults(report);
-}
-
-void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
-                 Supervisor* sup, Executor* ex,
-                 const std::vector<Detection>& intervals,
-                 dsp::const_sample_span x, CostLedger& ledger,
-                 MonitorReport& report) {
-  if (!analysis.demodulate) return;
-  if (ex != nullptr && !ex->serial()) {
-    RunAnalysisParallel(analysis, noise_floor_power, sup, ex, intervals, x,
-                        ledger, report);
-  } else {
-    RunAnalysisSerial(analysis, noise_floor_power, sup, intervals, x, ledger,
-                      report);
-  }
 }
 
 /// A bundle's freshly constructed detector hooks for one Detect() call.
@@ -415,35 +302,13 @@ MonitorReport AnalyzeDetections(DetectOutput det, dsp::const_sample_span x,
   }
   RunAnalysis(det.analysis, det.noise_floor_power, det.supervisor, executor,
               report.dispatched, x, ledger, report);
-  BuildEventView(report);
   report.costs = ledger.Costs();
   if (sink != nullptr) {
     for (const auto& h : report.health) sink->OnHealth(h);
     for (const auto& d : report.detections) sink->OnDetection(d);
-    for (const auto& f : report.wifi_frames) sink->OnWifiFrame(f);
-    for (const auto& p : report.bt_packets) sink->OnBtPacket(p);
-    for (const auto& z : report.zb_frames) sink->OnZbFrame(z);
     for (const auto& e : report.events) sink->OnEvent(e);
   }
   return report;
-}
-
-void RFDumpPipeline::Config::EnableBundle(Protocol p) {
-  bundle_mask |= BundleBit(p);
-  // The historical protocols predate the bundle mask and are additionally
-  // gated by their legacy booleans; keep both switch forms consistent. New
-  // bundles are controlled by the mask alone and need no case here.
-  switch (p) {
-    case Protocol::kZigbee:
-      zigbee_detector = true;
-      analysis.zigbee_demod = true;
-      break;
-    case Protocol::kMicrowave:
-      microwave_detector = true;
-      break;
-    default:
-      break;
-  }
 }
 
 RFDumpPipeline::RFDumpPipeline() : RFDumpPipeline(Config{}) {}
@@ -500,8 +365,6 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   setup.timing_detectors = config_.timing_detectors;
   setup.phase_detectors = config_.phase_detectors;
   setup.freq_detector = config_.freq_detector;
-  setup.microwave_detector = config_.microwave_detector;
-  setup.zigbee_detector = config_.zigbee_detector;
   setup.noise_floor_power = config_.noise_floor_power;
   std::vector<ActiveDetectors> active =
       MakeActiveDetectors(config_.bundle_mask, setup);

@@ -266,48 +266,21 @@ void StreamingMonitor::RecordHealth(const HealthReport& h) {
     health_.pop_front();
   }
   if (config_.sink != nullptr) config_.sink->OnHealth(health_.back());
-  if (on_health) on_health(health_.back());
-}
-
-void StreamingMonitor::EmitWifi(const phy80211::DecodedFrame& f) {
-  if (config_.sink != nullptr) config_.sink->OnWifiFrame(f);
-  if (on_wifi_frame) on_wifi_frame(f);
-}
-
-void StreamingMonitor::EmitBt(const phybt::DecodedBtPacket& p) {
-  if (config_.sink != nullptr) config_.sink->OnBtPacket(p);
-  if (on_bt_packet) on_bt_packet(p);
-}
-
-void StreamingMonitor::EmitZb(const phyzigbee::DecodedZbFrame& z) {
-  // No legacy callback existed for ZigBee — sink-only (the quartet never
-  // carried these; they were silently dropped before the sink API).
-  if (config_.sink != nullptr) config_.sink->OnZbFrame(z);
-}
-
-void StreamingMonitor::EmitEvent(const ProtocolEvent& e) {
-  // Generic protocol-tagged channel; sink-only (no legacy callback).
-  if (config_.sink != nullptr) config_.sink->OnEvent(e);
-}
-
-void StreamingMonitor::EmitDetection(const Detection& d) {
-  if (config_.sink != nullptr) config_.sink->OnDetection(d);
-  if (on_detection) on_detection(d);
 }
 
 void StreamingMonitor::ApplyShedStage() {
   RFDumpPipeline::Config cfg = config_.pipeline;
   cfg.supervisor = &supervisor_;  // breaker state survives reconstruction
   // The monitor controls execution and emission itself: analysis fan-out
-  // happens via AnalyzeDetections on the analyzer thread, and all emission
-  // goes through the monitor's ownership filter.
+  // happens via AnalyzeDetections in AnalyzeBlock, and all emission goes
+  // through the monitor's ownership filter.
   cfg.executor = nullptr;
   cfg.sink = nullptr;
   const int stage = shed_stage_.load(std::memory_order_relaxed);
   if (stage >= 1) {
+    // Optional = not default-enabled: only the default bundles stay.
+    cfg.bundle_mask &= DefaultBundleMask();
     cfg.freq_detector = false;
-    cfg.microwave_detector = false;
-    cfg.zigbee_detector = false;
     cfg.collision_detector = false;
   }
   if (stage >= 2) {
@@ -325,10 +298,7 @@ void StreamingMonitor::UpdateShedding(double block_load,
                                       bool deadline_pressure,
                                       bool backpressure) {
   if (config_.cpu_budget <= 0.0) {
-    if (shed_stage_.load(std::memory_order_relaxed) != 0) {
-      shed_stage_.store(0, std::memory_order_relaxed);
-      if (!pipelined()) ApplyShedStage();
-    }
+    shed_stage_.store(0, std::memory_order_relaxed);
     return;
   }
   // A stalled ingest queue means analysis cannot keep up regardless of what
@@ -339,7 +309,6 @@ void StreamingMonitor::UpdateShedding(double block_load,
       const int stage = shed_stage_.fetch_add(1, std::memory_order_relaxed) + 1;
       StreamingMetrics::Get().shed_up.Inc();
       StreamingMetrics::Get().shed_stage.Set(stage);
-      if (!pipelined()) ApplyShedStage();
     }
   } else if (deadline_pressure) {
     // Deadline-aborted intervals mean measured load understates offered
@@ -354,169 +323,19 @@ void StreamingMonitor::UpdateShedding(double block_load,
       under_budget_blocks_ = 0;
       StreamingMetrics::Get().shed_down.Inc();
       StreamingMetrics::Get().shed_stage.Set(stage);
-      if (!pipelined()) ApplyShedStage();
     }
   } else {
     under_budget_blocks_ = 0;
   }
 }
 
+// ---------------------------------------------------------------- blocks
+
 void StreamingMonitor::ProcessBlock(bool final_block, bool gap_cut) {
-  if (pipelined()) {
-    EnqueueBlock(final_block, gap_cut);
-    return;
-  }
-  RFDUMP_TRACE_SPAN("streaming/block");
-  const std::size_t take =
-      final_block ? buffer_.size()
-                  : std::min(buffer_.size(), config_.block_samples);
-  const auto block = dsp::const_sample_span(buffer_).first(take);
-
-  // Quarantine records want absolute stream positions; the pipeline works
-  // block-relative, so tell the supervisor where this block starts.
-  supervisor_.set_stream_offset(buffer_start_);
-
-  // The shed controller and the per-stage ledger read the same monotonic
-  // clock (obs::Stopwatch); this one covers the whole pipeline call, so
-  // block_load also charges any between-stage overhead to the block.
-  obs::Stopwatch block_watch;
-  MonitorReport report;
-  // Last-resort containment: per-interval stage boundaries catch demodulator
-  // and detector throws, so anything arriving here escaped from pipeline
-  // plumbing itself. The block's results are lost; the monitor is not.
-  try {
-    report = pipeline_.Process(block);
-  } catch (...) {
-    StreamingMetrics::Get().block_failures.Inc();
-    report = MonitorReport{};
-    report.samples_total = take;
-  }
-  const double block_cpu = block_watch.Seconds();
-  samples_processed_ += take;
-
-  // Supervision outcomes for this block: delta against the last snapshot of
-  // the (cumulative) supervisor counters.
-  const Supervisor::Counts now = supervisor_.counts();
-  const std::uint64_t d_supervised = now.invocations - last_counts_.invocations;
-  const std::uint64_t d_deadline = now.deadline - last_counts_.deadline;
-  const std::uint64_t d_exception = now.exception - last_counts_.exception;
-  const std::uint64_t d_skipped = now.skipped - last_counts_.skipped;
-  const std::uint64_t d_quarantined = now.quarantined - last_counts_.quarantined;
-  const std::uint64_t d_trips = now.breaker_trips - last_counts_.breaker_trips;
-  last_counts_ = now;
-
-  // Merge stage costs.
-  for (const auto& c : report.costs) {
-    auto it = std::find_if(costs_.begin(), costs_.end(),
-                           [&](const StageCost& s) { return s.name == c.name; });
-    if (it == costs_.end()) {
-      costs_.push_back(c);
-    } else {
-      it->cpu_seconds += c.cpu_seconds;
-      it->samples_in += c.samples_in;
-    }
-  }
-
-  // Block health: input-quality fields from the pipeline's scan, stream
-  // fields (gaps / overlaps / sanitization) from the ingest tallies.
-  HealthReport h;
-  if (!report.health.empty()) h = report.health.front();
-  h.block_start = buffer_start_;
-  h.block_samples = take;
-  h.shed_stage = shed_stage_.load(std::memory_order_relaxed);
-  h.block_load =
-      take > 0
-          ? block_cpu / (static_cast<double>(take) / dsp::kSampleRateHz)
-          : 0.0;
-  h.supervised_intervals = d_supervised;
-  h.deadline_intervals = d_deadline;
-  h.exception_intervals = d_exception;
-  h.skipped_intervals = d_skipped;
-  h.quarantined_intervals = d_quarantined;
-  h.breaker_trips = static_cast<std::uint32_t>(d_trips);
-  h.open_breakers = supervisor_.open_breakers();
-  const double block_load = h.block_load;
-  EmitHealth(h);
-  // A block has elapsed for breaker cooldown purposes (open -> half-open
-  // transitions happen here, after the block's health was reported).
-  supervisor_.OnBlockEnd();
-
-  // Ownership boundary: this block reports every result that *starts* in
-  // [emitted_until_, boundary); results starting inside the overlap tail are
-  // left to the next block, which sees them whole (the overlap exceeds the
-  // longest frame, so anything starting before the boundary also ends inside
-  // this block).
-  const std::int64_t base = buffer_start_;
-  const std::size_t keep =
-      final_block ? 0 : std::min(config_.overlap_samples, take);
-  const std::int64_t boundary =
-      base + static_cast<std::int64_t>(take - keep);
-  const auto owned = [&](std::int64_t start) {
-    return start >= emitted_until_ && start < boundary;
-  };
-  // A block cut short by a gap ends where delivered data ends: a frame that
-  // reaches the cut was truncated by the overrun unless it checked out in
-  // full (FCS/CRC), and a truncated frame is reported as a gap, not a frame.
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !gap_cut || end < boundary || verified;
-  };
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
-    }
-  }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
-    }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
-    }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
-    }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
-  }
-
-  emitted_until_ = boundary;
-  // Adapt the shed stage for the *next* block from this block's load.
-  UpdateShedding(block_load, /*deadline_pressure=*/d_deadline > 0,
-                 /*backpressure=*/false);
-  if (final_block) {
-    buffer_start_ += static_cast<std::int64_t>(take);
-    buffer_.clear();
-    return;
-  }
-  const std::size_t consumed = take - keep;
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-  buffer_start_ += static_cast<std::int64_t>(consumed);
-}
-
-// ------------------------------------------------------------ pipelined mode
-
-void StreamingMonitor::EnqueueBlock(bool final_block, bool gap_cut) {
   RFDUMP_TRACE_SPAN("streaming/detect");
-  // Apply any shed-stage change the analyzer's controller decided since the
-  // previous block: the ingest thread owns pipeline_, so the rebuild happens
-  // here, before detection.
+  // Apply any shed-stage change the controller decided since the previous
+  // block: the ingest thread owns pipeline_, so the rebuild happens here,
+  // before detection.
   if (shed_stage_.load(std::memory_order_relaxed) != applied_shed_stage_) {
     ApplyShedStage();
     StreamingMetrics::Get().shed_stage.Set(applied_shed_stage_);
@@ -549,17 +368,24 @@ void StreamingMonitor::EnqueueBlock(bool final_block, bool gap_cut) {
   try {
     job.det = pipeline_.Detect(block);
   } catch (...) {
-    // Same last-resort containment as the serial path: the block yields an
-    // empty report (plus health/tallies), the monitor keeps running.
+    // Last-resort containment: per-interval stage boundaries catch detector
+    // throws, so anything arriving here escaped from pipeline plumbing. The
+    // block yields an empty report (plus health/tallies); the monitor keeps
+    // running.
     StreamingMetrics::Get().block_failures.Inc();
     job.det = DetectOutput{};
     job.det.report.samples_total = take;
   }
   job.detect_seconds = detect_watch.Seconds();
-  job.samples.assign(block.begin(), block.end());
+  if (pipelined()) {
+    job.samples.assign(block.begin(), block.end());
+  } else {
+    AnalyzeBlock(job, block);
+  }
 
-  // Ingest state advances NOW — this is the double-buffering: the next
-  // segment lands in a clean buffer while the analyzer works on the copy.
+  // Ingest state advances NOW — pipelined, this is the double-buffering:
+  // the next segment lands in a clean buffer while the analyzer works on
+  // the copy.
   emitted_until_ = job.boundary;
   if (final_block) {
     buffer_start_ += static_cast<std::int64_t>(take);
@@ -570,6 +396,7 @@ void StreamingMonitor::EnqueueBlock(bool final_block, bool gap_cut) {
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
     buffer_start_ += static_cast<std::int64_t>(consumed);
   }
+  if (!pipelined()) return;
 
   std::size_t depth;
   {
@@ -604,7 +431,7 @@ void StreamingMonitor::AnalyzerLoop() {
           static_cast<double>(queue_.size()));
     }
     queue_space_cv_.notify_all();
-    AnalyzeBlock(job);
+    AnalyzeBlock(job, job.samples);
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       analyzer_busy_ = false;
@@ -619,18 +446,18 @@ void StreamingMonitor::DrainQueue() {
                        [&] { return queue_.empty() && !analyzer_busy_; });
 }
 
-void StreamingMonitor::AnalyzeBlock(BlockJob& job) {
+void StreamingMonitor::AnalyzeBlock(BlockJob& job, dsp::const_sample_span x) {
   RFDUMP_TRACE_SPAN("streaming/block");
-  // All Admit/Finish calls for this block happen on this thread before the
-  // next block starts, so the offset is stable for its quarantine records.
+  // Quarantine records want absolute stream positions; the pipeline works
+  // block-relative. All Admit/Finish calls for this block happen on this
+  // thread before the next block starts, so the offset is stable.
   supervisor_.set_stream_offset(job.base);
 
   obs::Stopwatch analyze_watch;
   MonitorReport report;
   try {
-    report = AnalyzeDetections(std::move(job.det),
-                               dsp::const_sample_span(job.samples),
-                               executor_.get(), nullptr);
+    report = AnalyzeDetections(std::move(job.det), x, executor_.get(),
+                               nullptr);
   } catch (...) {
     StreamingMetrics::Get().block_failures.Inc();
     report = MonitorReport{};
@@ -686,48 +513,31 @@ void StreamingMonitor::AnalyzeBlock(BlockJob& job) {
   RecordHealth(h);
   supervisor_.OnBlockEnd();
 
-  // Same ownership filter as the serial path, from the window the ingest
-  // thread computed when it packaged the block.
-  const auto owned = [&](std::int64_t start) {
-    return start >= job.emit_from && start < job.boundary;
-  };
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !job.gap_cut || end < job.boundary || verified;
-  };
-  const std::int64_t base = job.base;
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
+  // Ownership boundary: this block reports every result that *starts* in
+  // [emit_from, boundary); results starting inside the overlap tail are left
+  // to the next block, which sees them whole (the overlap exceeds the
+  // longest frame, so anything starting before the boundary also ends inside
+  // this block).
+  if (ResultSink* sink = config_.sink) {
+    const auto owned = [&](std::int64_t start) {
+      return start >= job.emit_from && start < job.boundary;
+    };
+    for (auto& e : report.events) {
+      e.start_sample += job.base;
+      e.end_sample += job.base;
+      // A block cut short by a gap ends where delivered data ends: a frame
+      // that reaches the cut was truncated by the overrun unless it checked
+      // out in full (FCS/CRC), and a truncated frame is reported as a gap,
+      // not a frame.
+      const bool clear_of_cut =
+          !job.gap_cut || e.end_sample < job.boundary || e.crc_ok;
+      if (owned(e.start_sample) && clear_of_cut) sink->OnEvent(e);
     }
-  }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
+    for (auto& d : report.detections) {
+      d.start_sample += job.base;
+      d.end_sample += job.base;
+      if (owned(d.start_sample)) sink->OnDetection(d);
     }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
-    }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
-    }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
   }
 
   UpdateShedding(block_load, /*deadline_pressure=*/d_deadline > 0,

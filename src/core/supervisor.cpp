@@ -157,27 +157,6 @@ Outcome Supervisor::Finish(Admission& admission, Outcome outcome,
   return outcome;
 }
 
-Outcome Supervisor::Supervise(
-    Protocol p, std::int64_t start, std::int64_t end,
-    dsp::const_sample_span interval,
-    const std::function<void(util::WorkBudget&)>& fn) {
-  auto admission = Admit(p, start, end, interval);
-  if (!admission->admitted) return admission->outcome;
-  Outcome outcome = Outcome::kOk;
-  std::string error;
-  try {
-    fn(admission->budget);
-    if (admission->budget.expired()) outcome = Outcome::kDeadline;
-  } catch (const std::exception& e) {
-    outcome = Outcome::kException;
-    error = e.what();
-  } catch (...) {
-    outcome = Outcome::kException;
-    error = "non-std exception";
-  }
-  return Finish(*admission, outcome, std::move(error), interval);
-}
-
 void Supervisor::NoteResultLocked(Breaker& b, Protocol p, bool failure,
                                   bool was_probe) {
   if (was_probe) {

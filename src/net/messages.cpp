@@ -71,41 +71,6 @@ EventRecord ToEventRecord(const core::ProtocolEvent& ev) {
   return e;
 }
 
-EventRecord ToEventRecord(const phy80211::DecodedFrame& f) {
-  EventRecord e;
-  e.protocol = core::Protocol::kWifi80211b;
-  e.start_sample = f.start_sample;
-  e.end_sample = f.end_sample;
-  e.payload_bytes = static_cast<std::uint32_t>(f.mpdu.size());
-  e.crc_ok = f.fcs_ok;
-  e.payload_digest = Fnv1a64({f.mpdu.data(), f.mpdu.size()});
-  return e;
-}
-
-EventRecord ToEventRecord(const phybt::DecodedBtPacket& p) {
-  EventRecord e;
-  e.protocol = core::Protocol::kBluetooth;
-  e.channel = static_cast<std::int16_t>(p.channel_index);
-  e.start_sample = p.start_sample;
-  e.end_sample = p.end_sample;
-  e.payload_bytes = static_cast<std::uint32_t>(p.packet.payload.size());
-  e.crc_ok = p.packet.crc_ok;
-  e.payload_digest =
-      Fnv1a64({p.packet.payload.data(), p.packet.payload.size()});
-  return e;
-}
-
-EventRecord ToEventRecord(const phyzigbee::DecodedZbFrame& z) {
-  EventRecord e;
-  e.protocol = core::Protocol::kZigbee;
-  e.start_sample = z.start_sample;
-  e.end_sample = z.end_sample;
-  e.payload_bytes = static_cast<std::uint32_t>(z.psdu.size());
-  e.crc_ok = z.crc_ok;
-  e.payload_digest = Fnv1a64({z.psdu.data(), z.psdu.size()});
-  return e;
-}
-
 std::vector<std::uint8_t> HelloMsg::Encode() const {
   ByteWriter w;
   w.U32(epoch);

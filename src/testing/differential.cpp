@@ -18,7 +18,7 @@ struct Event {
   core::Protocol protocol = core::Protocol::kUnknown;
   std::int64_t start = 0;
   std::int64_t end = 0;
-  int channel = -1;  // Bluetooth channel index, -1 otherwise
+  int channel = -1;  // protocol channel index, -1 if n/a
   std::size_t payload = 0;
   bool crc_ok = false;
   unsigned archs = 0;  // presence bitmask over the four runs
@@ -49,20 +49,10 @@ bool SameEvent(const Event& a, const Event& b, std::int64_t slack) {
 
 std::string EventKey(const Event& e) {
   char buf[128];
-  if (e.protocol == core::Protocol::kBluetooth) {
-    std::snprintf(buf, sizeof(buf), "bt ch%d @%lld..%lld %zuB crc=%d",
-                  e.channel, static_cast<long long>(e.start),
-                  static_cast<long long>(e.end), e.payload, e.crc_ok ? 1 : 0);
-  } else if (e.protocol == core::Protocol::kWifi80211b) {
-    std::snprintf(buf, sizeof(buf), "wifi @%lld..%lld %zuB fcs=%d",
-                  static_cast<long long>(e.start),
-                  static_cast<long long>(e.end), e.payload, e.crc_ok ? 1 : 0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s ch%d @%lld..%lld %zuB crc=%d",
-                  core::ProtocolName(e.protocol), e.channel,
-                  static_cast<long long>(e.start),
-                  static_cast<long long>(e.end), e.payload, e.crc_ok ? 1 : 0);
-  }
+  std::snprintf(buf, sizeof(buf), "%s ch%d @%lld..%lld %zuB crc=%d",
+                core::ProtocolName(e.protocol), e.channel,
+                static_cast<long long>(e.start),
+                static_cast<long long>(e.end), e.payload, e.crc_ok ? 1 : 0);
   return buf;
 }
 
@@ -101,46 +91,11 @@ std::vector<std::string> ExactFingerprint(const core::MonitorReport& r) {
                   static_cast<double>(d.confidence), d.detector);
     out.push_back(buf);
   }
-  for (const auto& f : r.wifi_frames) {
-    std::snprintf(buf, sizeof(buf), "wifi %lld %lld %d %d %zu",
-                  static_cast<long long>(f.start_sample),
-                  static_cast<long long>(f.end_sample), f.payload_decoded,
-                  f.fcs_ok, f.mpdu.size());
-    std::string line = buf;
-    for (const auto b : f.mpdu) line += "," + std::to_string(b);
-    out.push_back(std::move(line));
-  }
-  for (const auto& p : r.bt_packets) {
-    std::snprintf(buf, sizeof(buf), "bt %06x ch%d %lld %lld %d %zu", p.lap,
-                  p.channel_index, static_cast<long long>(p.start_sample),
-                  static_cast<long long>(p.end_sample), p.packet.crc_ok,
-                  p.packet.payload.size());
-    std::string line = buf;
-    for (const auto b : p.packet.payload) line += "," + std::to_string(b);
-    out.push_back(std::move(line));
-  }
-  for (const auto& z : r.zb_frames) {
-    std::snprintf(buf, sizeof(buf), "zb %lld %lld %d %zu",
-                  static_cast<long long>(z.start_sample),
-                  static_cast<long long>(z.end_sample), z.crc_ok,
-                  z.psdu.size());
-    std::string line = buf;
-    for (const auto b : z.psdu) line += "," + std::to_string(b);
-    out.push_back(std::move(line));
-  }
-  // Registry-era protocols commit generic events only; the three legacy
-  // protocols are already fingerprinted above via their typed shims, so
-  // skipping them here keeps legacy fingerprints byte-identical.
   for (const auto& e : r.events) {
-    if (e.protocol == core::Protocol::kWifi80211b ||
-        e.protocol == core::Protocol::kBluetooth ||
-        e.protocol == core::Protocol::kZigbee) {
-      continue;
-    }
-    std::snprintf(buf, sizeof(buf), "ev %s ch%d %lld %lld %d %zu",
+    std::snprintf(buf, sizeof(buf), "ev %s ch%d %lld %lld %d %08x %zu",
                   core::ProtocolName(e.protocol), e.channel,
                   static_cast<long long>(e.start_sample),
-                  static_cast<long long>(e.end_sample), e.crc_ok,
+                  static_cast<long long>(e.end_sample), e.crc_ok, e.header,
                   e.payload.size());
     std::string line = buf;
     for (const auto b : e.payload) line += "," + std::to_string(b);

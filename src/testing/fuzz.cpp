@@ -302,26 +302,6 @@ void WriteFile(const fs::path& path, std::span<const std::uint8_t> data) {
 
 }  // namespace
 
-const char* FuzzTargetName(FuzzTarget t) {
-  switch (t) {
-    case FuzzTarget::kPhy80211Plcp: return "phy80211-plcp";
-    case FuzzTarget::kPhyBtPacket: return "phybt-packet";
-    case FuzzTarget::kPhyZigbee: return "phyzigbee";
-    case FuzzTarget::kNetFrame: return "net-frame";
-  }
-  return "?";
-}
-
-const char* FuzzCorpusDirName(FuzzTarget t) {
-  switch (t) {
-    case FuzzTarget::kPhy80211Plcp: return "phy80211_plcp";
-    case FuzzTarget::kPhyBtPacket: return "phybt_packet";
-    case FuzzTarget::kPhyZigbee: return "phyzigbee";
-    case FuzzTarget::kNetFrame: return "net_frame";
-  }
-  return "?";
-}
-
 std::vector<FuzzTargetRef> EnumerateFuzzTargets() {
   std::vector<FuzzTargetRef> out;
   for (const auto& bundle : core::ProtocolRegistry::Instance().bundles()) {
@@ -333,28 +313,6 @@ std::vector<FuzzTargetRef> EnumerateFuzzTargets() {
   }
   out.push_back(NetFrameTargetRef());
   return out;
-}
-
-FuzzTargetRef FuzzTargetRefFor(FuzzTarget t) {
-  core::Protocol p = core::Protocol::kUnknown;
-  switch (t) {
-    case FuzzTarget::kPhy80211Plcp: p = core::Protocol::kWifi80211b; break;
-    case FuzzTarget::kPhyBtPacket: p = core::Protocol::kBluetooth; break;
-    case FuzzTarget::kPhyZigbee: p = core::Protocol::kZigbee; break;
-    case FuzzTarget::kNetFrame: return NetFrameTargetRef();
-  }
-  const core::ProtocolBundle* bundle =
-      core::ProtocolRegistry::Instance().Find(p);
-  if (bundle == nullptr || bundle->fuzz_name == nullptr) {
-    throw std::logic_error(std::string("no fuzz bundle for target ") +
-                           FuzzTargetName(t));
-  }
-  return RefFromBundle(*bundle);
-}
-
-int RunFuzzInput(FuzzTarget target, std::span<const std::uint8_t> data,
-                 util::WorkBudget* budget) {
-  return FuzzTargetRefFor(target).run(data, budget);
 }
 
 void MutateInput(std::vector<std::uint8_t>& data, util::Xoshiro256& rng) {
@@ -379,11 +337,6 @@ std::size_t WriteSeedCorpus(const FuzzTargetRef& ref, const std::string& dir,
   return written;
 }
 
-std::size_t WriteSeedCorpus(FuzzTarget target, const std::string& dir,
-                            std::size_t count, std::uint64_t seed) {
-  return WriteSeedCorpus(FuzzTargetRefFor(target), dir, count, seed);
-}
-
 std::string CorpusRunner::Result::Summary(
     const std::string& target_name) const {
   char buf[192];
@@ -399,10 +352,6 @@ std::string CorpusRunner::Result::Summary(
     out += "\n";
   }
   return out;
-}
-
-std::string CorpusRunner::Result::Summary(FuzzTarget target) const {
-  return Summary(std::string(FuzzTargetName(target)));
 }
 
 void CorpusRunner::RunOne(const FuzzTargetRef& ref,
@@ -452,16 +401,6 @@ void CorpusRunner::RunOne(const FuzzTargetRef& ref,
   }
 }
 
-void CorpusRunner::RunOne(FuzzTarget target,
-                          std::span<const std::uint8_t> data,
-                          const std::string& input_name, Result& result) {
-  const std::size_t before = result.findings.size();
-  RunOne(FuzzTargetRefFor(target), data, input_name, result);
-  for (std::size_t i = before; i < result.findings.size(); ++i) {
-    result.findings[i].target = target;
-  }
-}
-
 CorpusRunner::Result CorpusRunner::RunDirectory(
     const FuzzTargetRef& ref, const std::string& corpus_dir) {
   Result result;
@@ -490,13 +429,6 @@ CorpusRunner::Result CorpusRunner::RunDirectory(
              result);
     }
   }
-  return result;
-}
-
-CorpusRunner::Result CorpusRunner::RunDirectory(FuzzTarget target,
-                                                const std::string& corpus_dir) {
-  Result result = RunDirectory(FuzzTargetRefFor(target), corpus_dir);
-  for (auto& f : result.findings) f.target = target;
   return result;
 }
 

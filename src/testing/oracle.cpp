@@ -105,32 +105,12 @@ ConformanceReport ScoreReport(const std::vector<emu::TruthRecord>& truth,
                               const MatchPolicy& policy) {
   ConformanceReport out;
 
-  // Decode intervals per protocol, from the generic protocol-tagged event
-  // view when the pipeline produced one. Hand-built reports (tests) that
-  // only fill the legacy typed vectors fall back to those.
+  // Decode intervals per protocol.
   std::array<std::vector<Interval>, core::kProtocolCount> decodes;
-  if (!report.events.empty()) {
-    for (const auto& e : report.events) {
-      const auto idx = static_cast<std::size_t>(e.protocol);
-      if (idx < decodes.size()) {
-        decodes[idx].push_back({e.start_sample, e.end_sample, e.crc_ok});
-      }
-    }
-  } else {
-    auto& wifi = decodes[static_cast<std::size_t>(core::Protocol::kWifi80211b)];
-    wifi.reserve(report.wifi_frames.size());
-    for (const auto& f : report.wifi_frames) {
-      wifi.push_back({f.start_sample, f.end_sample, f.fcs_ok});
-    }
-    auto& bt = decodes[static_cast<std::size_t>(core::Protocol::kBluetooth)];
-    bt.reserve(report.bt_packets.size());
-    for (const auto& p : report.bt_packets) {
-      bt.push_back({p.start_sample, p.end_sample, p.packet.crc_ok});
-    }
-    auto& zb = decodes[static_cast<std::size_t>(core::Protocol::kZigbee)];
-    zb.reserve(report.zb_frames.size());
-    for (const auto& z : report.zb_frames) {
-      zb.push_back({z.start_sample, z.end_sample, z.crc_ok});
+  for (const auto& e : report.events) {
+    const auto idx = static_cast<std::size_t>(e.protocol);
+    if (idx < decodes.size()) {
+      decodes[idx].push_back({e.start_sample, e.end_sample, e.crc_ok});
     }
   }
 

@@ -24,7 +24,7 @@ T Get(std::ifstream& in) {
 }  // namespace
 
 std::size_t WritePcap(const std::string& path,
-                      const std::vector<phy80211::DecodedFrame>& frames,
+                      std::span<const core::ProtocolEvent> events,
                       double sample_rate_hz) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("pcap: cannot open " + path);
@@ -38,18 +38,20 @@ std::size_t WritePcap(const std::string& path,
   Put<std::uint32_t>(out, kLinkType80211);
 
   std::size_t written = 0;
-  for (const auto& f : frames) {
-    if (!f.payload_decoded || f.mpdu.empty()) continue;
+  for (const auto& e : events) {
+    if (e.protocol != core::Protocol::kWifi80211b || e.payload.empty()) {
+      continue;
+    }
     const double t =
-        static_cast<double>(f.start_sample) / sample_rate_hz;
+        static_cast<double>(e.start_sample) / sample_rate_hz;
     const auto sec = static_cast<std::uint32_t>(t);
     const auto usec = static_cast<std::uint32_t>((t - sec) * 1e6);
     Put<std::uint32_t>(out, sec);
     Put<std::uint32_t>(out, usec);
-    Put<std::uint32_t>(out, static_cast<std::uint32_t>(f.mpdu.size()));
-    Put<std::uint32_t>(out, static_cast<std::uint32_t>(f.mpdu.size()));
-    out.write(reinterpret_cast<const char*>(f.mpdu.data()),
-              static_cast<std::streamsize>(f.mpdu.size()));
+    Put<std::uint32_t>(out, static_cast<std::uint32_t>(e.payload.size()));
+    Put<std::uint32_t>(out, static_cast<std::uint32_t>(e.payload.size()));
+    out.write(reinterpret_cast<const char*>(e.payload.data()),
+              static_cast<std::streamsize>(e.payload.size()));
     ++written;
   }
   if (!out) throw std::runtime_error("pcap: write failed for " + path);

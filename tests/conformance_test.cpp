@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -101,10 +102,15 @@ TEST(Scenario, SnrOffsetLowersDecodeRate) {
                           .WifiPing(wifi, 8'000)
                           .Render();
   core::RFDumpPipeline pipeline;
-  const auto clean_frames = pipeline.Process(clean.samples).wifi_frames.size();
-  const auto buried_frames =
-      pipeline.Process(buried.samples).wifi_frames.size();
-  EXPECT_GT(clean_frames, 0u);
+  const auto wifi_decodes = [&](const rft::RenderedScenario& sc) {
+    const auto events = pipeline.Process(sc.samples).events;
+    return std::count_if(events.begin(), events.end(), [](const auto& e) {
+      return e.protocol == core::Protocol::kWifi80211b;
+    });
+  };
+  const auto clean_frames = wifi_decodes(clean);
+  const auto buried_frames = wifi_decodes(buried);
+  EXPECT_GT(clean_frames, 0);
   EXPECT_LT(buried_frames, clean_frames);
 }
 
@@ -113,8 +119,7 @@ TEST(Scenario, SnrOffsetLowersDecodeRate) {
 TEST(Oracle, ScoresRfdumpPipelineOnMixedScenario) {
   const auto s = rft::CannedMixedScenario(3);
   core::RFDumpPipeline::Config cfg;
-  cfg.zigbee_detector = true;
-  cfg.analysis.zigbee_demod = true;
+  cfg.EnableBundle(core::Protocol::kZigbee);
   const auto report = core::RFDumpPipeline(cfg).Process(s.samples);
   const auto score = rft::ScoreReport(s, report);
 
@@ -148,11 +153,12 @@ TEST(Oracle, EmptyReportScoresAsAllMisses) {
 TEST(Oracle, SpuriousDecodeLowersPrecision) {
   const auto s = rft::CannedMixedScenario(5);
   core::MonitorReport report;
-  rfdump::phy80211::DecodedFrame fake;
+  core::ProtocolEvent fake;
+  fake.protocol = core::Protocol::kWifi80211b;
   // Place the "decode" in the tail padding where no truth record lives.
   fake.start_sample = s.duration() - 4'000;
   fake.end_sample = s.duration() - 2'000;
-  report.wifi_frames.push_back(fake);
+  report.events.push_back(fake);
   const auto score = rft::ScoreReport(s, report);
   const auto& wifi = score.Of(core::Protocol::kWifi80211b);
   EXPECT_EQ(wifi.spurious, 1u);
@@ -164,11 +170,12 @@ TEST(Oracle, CrcPolicyFiltersBadDecodes) {
   strict.require_crc_ok = true;
   const auto s = rft::CannedMixedScenario(6);
   core::MonitorReport report;
-  rfdump::phy80211::DecodedFrame bad;
+  core::ProtocolEvent bad;
+  bad.protocol = core::Protocol::kWifi80211b;
   bad.start_sample = 0;
   bad.end_sample = 1'000;
-  bad.fcs_ok = false;
-  report.wifi_frames.push_back(bad);
+  bad.crc_ok = false;
+  report.events.push_back(bad);
   const auto score = rft::ScoreReport(s, report, strict);
   EXPECT_EQ(score.Of(core::Protocol::kWifi80211b).decoded, 0u);
 }
@@ -315,7 +322,9 @@ TEST(QuarantineRoundTrip, DumpReloadAndReproduceOutcome) {
   const auto report = core::RFDumpPipeline(pcfg).Process(replays[0].samples);
   EXPECT_GT(supervisor.counts().exception, 0u)
       << "replayed snapshot no longer reproduces the quarantined failure";
-  EXPECT_TRUE(report.wifi_frames.empty());
+  for (const auto& e : report.events) {
+    EXPECT_NE(e.protocol, core::Protocol::kWifi80211b);
+  }
 
   fs::remove_all(dir);
 }

@@ -82,9 +82,8 @@ TEST(ZigbeePipeline, DetectAndDecodeEndToEnd) {
   const auto x = ether.Render(session.end_sample + 8000);
 
   core::RFDumpPipeline::Config pcfg;
-  pcfg.zigbee_detector = true;
-  pcfg.analysis.zigbee_demod = true;
-  pcfg.analysis.wifi_demod = false;
+  pcfg.EnableBundle(core::Protocol::kZigbee);
+  pcfg.analysis.bundle_mask &= ~core::BundleBit(core::Protocol::kWifi80211b);
   pcfg.analysis.bt_demods = 0;
   core::RFDumpPipeline pipeline(pcfg);
   const auto report = pipeline.Process(x);
@@ -95,11 +94,13 @@ TEST(ZigbeePipeline, DetectAndDecodeEndToEnd) {
     if (d.protocol == core::Protocol::kZigbee) ++zb_tags;
   }
   EXPECT_GE(zb_tags, 10u);
-  EXPECT_GE(report.zb_frames.size(), 8u);
-  std::size_t crc_ok = 0;
-  for (const auto& f : report.zb_frames) {
-    if (f.crc_ok) ++crc_ok;
+  std::size_t zb_decodes = 0, crc_ok = 0;
+  for (const auto& e : report.events) {
+    if (e.protocol != core::Protocol::kZigbee) continue;
+    ++zb_decodes;
+    if (e.crc_ok) ++crc_ok;
   }
+  EXPECT_GE(zb_decodes, 8u);
   EXPECT_GE(crc_ok, 8u);
 }
 

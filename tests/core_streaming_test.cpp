@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/ether.hpp"
 #include "rfdump/traffic/traffic.hpp"
@@ -16,7 +17,7 @@ namespace {
 
 struct Scenario {
   dsp::SampleVec samples;
-  std::size_t wifi_frames_expected;
+  std::size_t wifi_expected;
 };
 
 Scenario MakeScenario(std::size_t pings, std::uint64_t seed) {
@@ -28,7 +29,7 @@ Scenario MakeScenario(std::size_t pings, std::uint64_t seed) {
   const auto session = rfdump::traffic::GenerateUnicastPing(ether, cfg, 8000);
   Scenario s;
   s.samples = ether.Render(session.end_sample + 8000);
-  s.wifi_frames_expected = pings * 4;
+  s.wifi_expected = pings * 4;
   return s;
 }
 
@@ -39,36 +40,47 @@ core::StreamingMonitor::Config SmallBlocks() {
   return cfg;
 }
 
+/// Start sample of every emitted 802.11 decode, in emission order.
+class WifiStarts final : public core::ResultSink {
+ public:
+  void OnEvent(const core::ProtocolEvent& e) override {
+    if (e.protocol == core::Protocol::kWifi80211b) {
+      starts.push_back(e.start_sample);
+    }
+  }
+  std::vector<std::int64_t> starts;
+};
+
 TEST(Streaming, MatchesBatchResults) {
   const auto scenario = MakeScenario(10, 1);
 
-  core::RFDumpPipeline batch;
-  const auto batch_report = batch.Process(scenario.samples);
+  WifiStarts batch;
+  core::RFDumpPipeline::Config pcfg;
+  pcfg.sink = &batch;
+  (void)core::RFDumpPipeline(pcfg).Process(scenario.samples);
 
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<std::int64_t> streamed_starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    streamed_starts.push_back(f.start_sample);
-  };
+  WifiStarts streamed;
+  auto cfg = SmallBlocks();
+  cfg.sink = &streamed;
+  core::StreamingMonitor monitor(cfg);
   monitor.Push(scenario.samples);
   monitor.Flush();
 
-  ASSERT_EQ(streamed_starts.size(), batch_report.wifi_frames.size());
-  for (std::size_t i = 0; i < streamed_starts.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(streamed_starts[i]),
-                static_cast<double>(batch_report.wifi_frames[i].start_sample),
-                32.0)
+  ASSERT_EQ(streamed.starts.size(), batch.starts.size());
+  for (std::size_t i = 0; i < streamed.starts.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(streamed.starts[i]),
+                static_cast<double>(batch.starts[i]), 32.0)
         << i;
   }
 }
 
 TEST(Streaming, RaggedSegmentsNoDuplicatesNoLosses) {
   const auto scenario = MakeScenario(8, 2);
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<std::int64_t> starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    starts.push_back(f.start_sample);
-  };
+  WifiStarts sink;
+  auto cfg = SmallBlocks();
+  cfg.sink = &sink;
+  core::StreamingMonitor monitor(cfg);
+  const auto& starts = sink.starts;
   // Push in deliberately awkward segment sizes.
   std::size_t pos = 0;
   const std::size_t sizes[] = {1, 999, 100'000, 7, 350'000, 123'456};
@@ -82,7 +94,7 @@ TEST(Streaming, RaggedSegmentsNoDuplicatesNoLosses) {
   }
   monitor.Flush();
 
-  EXPECT_EQ(starts.size(), scenario.wifi_frames_expected);
+  EXPECT_EQ(starts.size(), scenario.wifi_expected);
   // Strictly increasing starts => no duplicates.
   for (std::size_t k = 1; k < starts.size(); ++k) {
     EXPECT_GT(starts[k], starts[k - 1]) << k;
@@ -102,13 +114,13 @@ TEST(Streaming, FrameOnBlockBoundaryReportedOnce) {
   const auto session = rfdump::traffic::GenerateUnicastPing(ether, cfg, start);
   const auto x = ether.Render(session.end_sample + 8000);
 
+  WifiStarts sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  int frames = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++frames; };
   monitor.Push(x);
   monitor.Flush();
-  EXPECT_EQ(frames, 4);  // DATA + ACK + DATA + ACK, each exactly once
+  // DATA + ACK + DATA + ACK, each exactly once.
+  EXPECT_EQ(sink.starts.size(), 4u);
 }
 
 TEST(Streaming, CostsAccumulate) {
@@ -128,28 +140,29 @@ TEST(Streaming, CostsAccumulate) {
 }
 
 TEST(Streaming, FlushOnEmptyIsNoop) {
-  core::StreamingMonitor monitor;
-  int calls = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++calls; };
+  core::CollectingSink sink;
+  core::StreamingMonitor::Config cfg;
+  cfg.sink = &sink;
+  core::StreamingMonitor monitor(cfg);
   monitor.Flush();
-  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(sink.events.empty());
+  EXPECT_TRUE(sink.health.empty());
   EXPECT_EQ(monitor.samples_processed(), 0u);
 }
 
 TEST(Streaming, FlushTwiceEmitsNothingTwice) {
   const auto scenario = MakeScenario(3, 7);
-  core::StreamingMonitor monitor(SmallBlocks());
-  int frames = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++frames; };
+  WifiStarts sink;
+  auto cfg = SmallBlocks();
+  cfg.sink = &sink;
+  core::StreamingMonitor monitor(cfg);
   monitor.Push(scenario.samples);
   monitor.Flush();
-  const int after_first = frames;
+  const auto after_first = sink.starts.size();
   const auto processed = monitor.samples_processed();
-  EXPECT_EQ(after_first, static_cast<int>(scenario.wifi_frames_expected));
+  EXPECT_EQ(after_first, scenario.wifi_expected);
   monitor.Flush();  // must be a no-op, not a re-emit
-  EXPECT_EQ(frames, after_first);
+  EXPECT_EQ(sink.starts.size(), after_first);
   EXPECT_EQ(monitor.samples_processed(), processed);
   // The stream can continue after a flush: positions stay absolute.
   monitor.Push(scenario.samples);  // contiguous continuation (arbitrary data)
@@ -164,14 +177,13 @@ TEST(Streaming, SegmentLargerThanBlockPlusOverlap) {
   auto cfg = SmallBlocks();
   ASSERT_GT(scenario.samples.size(),
             cfg.block_samples + cfg.overlap_samples);
+  WifiStarts sink;
+  cfg.sink = &sink;
   core::StreamingMonitor monitor(cfg);
-  std::vector<std::int64_t> starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    starts.push_back(f.start_sample);
-  };
+  const auto& starts = sink.starts;
   monitor.Push(scenario.samples);  // single oversized segment
   monitor.Flush();
-  EXPECT_EQ(starts.size(), scenario.wifi_frames_expected);
+  EXPECT_EQ(starts.size(), scenario.wifi_expected);
   for (std::size_t k = 1; k < starts.size(); ++k) {
     EXPECT_GT(starts[k], starts[k - 1]) << k;
   }

@@ -1,12 +1,15 @@
 // Deterministic fuzz-corpus regression suite (DESIGN.md §11): every
-// checked-in corpus input (tests/corpus/<target>/) runs through
-// testing::RunFuzzInput under a WorkBudget and a wall-clock hang check, plus
+// checked-in corpus input (tests/corpus/<target>/) runs through its fuzz
+// target under a WorkBudget and a wall-clock hang check, plus
 // one seeded mutation round per input. Any crash or hang fails the suite and
 // writes a repro file. The ci sanitize job runs this under ASan+UBSan.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "rfdump/testing/fuzz.hpp"
 
@@ -19,50 +22,13 @@ namespace {
 #error "tests/CMakeLists.txt must define RFDUMP_SOURCE_DIR"
 #endif
 
-std::string CorpusDir(rft::FuzzTarget target) {
-  return std::string(RFDUMP_SOURCE_DIR) + "/tests/corpus/" +
-         rft::FuzzCorpusDirName(target);
-}
-
-void RunTarget(rft::FuzzTarget target) {
-  rft::CorpusRunner::Config cfg;
-  cfg.repro_dir =
-      (fs::path(::testing::TempDir()) / "rfdump_fuzz_repro").string();
-  cfg.mutation_rounds = 1;
-  cfg.seed = 1;
-  rft::CorpusRunner runner(cfg);
-  const auto result = runner.RunDirectory(target, CorpusDir(target));
-
-  // >= 100 checked-in inputs per decoder, plus the mutation round.
-  EXPECT_GE(result.inputs_run, 200u) << "corpus missing or truncated at "
-                                     << CorpusDir(target);
-  EXPECT_TRUE(result.ok()) << result.Summary(target);
-  // The corpus is not all chaff: the structurally valid seeds decode.
-  EXPECT_GT(result.decodes, 0u) << result.Summary(target);
-}
-
-TEST(FuzzCorpus, Phy80211Plcp) { RunTarget(rft::FuzzTarget::kPhy80211Plcp); }
-
-TEST(FuzzCorpus, PhyBtPacket) { RunTarget(rft::FuzzTarget::kPhyBtPacket); }
-
-TEST(FuzzCorpus, PhyZigbee) { RunTarget(rft::FuzzTarget::kPhyZigbee); }
-
-TEST(FuzzCorpus, NetFrame) { RunTarget(rft::FuzzTarget::kNetFrame); }
-
 TEST(FuzzCorpus, RegistryTargetsReplay) {
-  // Registry-enumerated targets beyond the four legacy enum values above
-  // (today: the BLE advertising bundle; tomorrow: any new bundle with fuzz
-  // hooks). Covered here with zero per-protocol edits — registering the
-  // bundle is enough to put its corpus under this suite.
-  const char* const legacy[] = {"phy80211_plcp", "phybt_packet", "phyzigbee",
-                                "net_frame"};
-  std::size_t registry_only = 0;
+  // Every fuzz target — each registered bundle with fuzz hooks, plus
+  // net-frame — replays its checked-in corpus with zero per-protocol edits:
+  // registering a bundle is enough to put its corpus under this suite.
+  std::vector<std::string> names;
   for (const auto& target : rft::EnumerateFuzzTargets()) {
-    bool is_legacy = false;
-    for (const char* dir : legacy) is_legacy |= target.corpus_dir == dir;
-    if (is_legacy) continue;  // already replayed by the pinned tests above
-    ++registry_only;
-
+    names.push_back(target.name);
     rft::CorpusRunner::Config cfg;
     cfg.repro_dir =
         (fs::path(::testing::TempDir()) / "rfdump_fuzz_repro").string();
@@ -72,18 +38,25 @@ TEST(FuzzCorpus, RegistryTargetsReplay) {
     const std::string dir = std::string(RFDUMP_SOURCE_DIR) +
                             "/tests/corpus/" + target.corpus_dir;
     const auto result = runner.RunDirectory(target, dir);
+    // >= 100 checked-in inputs per decoder, plus the mutation round.
     EXPECT_GE(result.inputs_run, 200u)
         << "corpus missing or truncated at " << dir;
     EXPECT_TRUE(result.ok()) << result.Summary(target.name);
+    // The corpus is not all chaff: the structurally valid seeds decode.
     EXPECT_GT(result.decodes, 0u) << result.Summary(target.name);
   }
-  // The BLE advertising bundle must be enumerated.
-  EXPECT_GE(registry_only, 1u);
+  // The decoders that predate the registry, and the wire protocol, stay
+  // covered.
+  for (const char* name :
+       {"phy80211-plcp", "phybt-packet", "phyzigbee", "net-frame"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+  }
 }
 
 TEST(FuzzCorpus, MutatorIsDeterministicAndTotal) {
   // Same RNG state => same mutant; mutation never produces an empty input
-  // (RunFuzzInput treats empty as a no-op and the corpus would rot).
+  // (the fuzz targets treat empty as a no-op and the corpus would rot).
   rfdump::util::Xoshiro256 a(123), b(123);
   std::vector<std::uint8_t> x{1, 2, 3, 4, 5, 6, 7, 8};
   std::vector<std::uint8_t> y = x;
@@ -104,16 +77,18 @@ TEST(FuzzCorpus, RunnerRecordsCrashFindings) {
   // plumbing via Summary on a synthetic result.
   rft::CorpusRunner::Config cfg;
   rft::CorpusRunner runner(cfg);
-  const auto empty = runner.RunDirectory(rft::FuzzTarget::kPhyZigbee,
-                                         "/nonexistent/corpus/dir");
+  const auto targets = rft::EnumerateFuzzTargets();
+  ASSERT_FALSE(targets.empty());
+  const auto empty =
+      runner.RunDirectory(targets.front(), "/nonexistent/corpus/dir");
   EXPECT_EQ(empty.inputs_run, 0u);
   EXPECT_TRUE(empty.ok());
 
   rft::CorpusRunner::Result synthetic;
-  synthetic.findings.push_back({rft::FuzzTarget::kPhyZigbee, "crash",
-                                "input-7", "std::bad_alloc", ""});
+  synthetic.findings.push_back(
+      {"phyzigbee", "crash", "input-7", "std::bad_alloc", ""});
   EXPECT_FALSE(synthetic.ok());
-  const auto summary = synthetic.Summary(rft::FuzzTarget::kPhyZigbee);
+  const auto summary = synthetic.Summary("phyzigbee");
   EXPECT_NE(summary.find("crash"), std::string::npos);
   EXPECT_NE(summary.find("input-7"), std::string::npos);
 }

@@ -20,6 +20,15 @@ namespace traffic = rfdump::traffic;
 
 namespace {
 
+std::vector<core::ProtocolEvent> EventsOf(const core::MonitorReport& report,
+                                          core::Protocol protocol) {
+  std::vector<core::ProtocolEvent> out;
+  for (const auto& e : report.events) {
+    if (e.protocol == protocol) out.push_back(e);
+  }
+  return out;
+}
+
 // --------------------------------------------------------- 802.11 unicast
 
 TEST(Integration, UnicastPingDetectedBySifsTiming) {
@@ -77,12 +86,12 @@ TEST(Integration, UnicastPingDemodulatedEndToEnd) {
   core::RFDumpPipeline pipeline;  // with demodulation
   const auto report = pipeline.Process(x);
   // 10 data frames + 10 ACKs; demodulator should decode nearly all of them.
-  EXPECT_GE(report.wifi_frames.size(), 16u);
+  const auto frames = EventsOf(report, core::Protocol::kWifi80211b);
+  EXPECT_GE(frames.size(), 16u);
   std::size_t data_frames = 0, fcs_ok = 0, icmp_seen = 0;
-  for (const auto& f : report.wifi_frames) {
-    if (!f.payload_decoded) continue;
-    if (f.fcs_ok) ++fcs_ok;
-    const auto mac = rfdump::mac80211::ParseFrame(f.mpdu);
+  for (const auto& f : frames) {
+    if (f.crc_ok) ++fcs_ok;
+    const auto mac = rfdump::mac80211::ParseFrame(f.payload);
     if (mac && mac->kind == rfdump::mac80211::FrameKind::kData) {
       ++data_frames;
       if (rfdump::mac80211::ParseIcmpEchoSeq(mac->body)) ++icmp_seen;
@@ -159,10 +168,11 @@ TEST(Integration, L2PingDemodulatedWithSizesMatchingSeq) {
   ASSERT_GT(visible.size(), 4u);
   // Most visible packets decode, and the payload size encodes the sequence
   // number (the paper's ground-truthing trick).
-  EXPECT_GE(report.bt_packets.size(), visible.size() * 6 / 10);
-  for (const auto& p : report.bt_packets) {
-    if (!p.packet.crc_ok) continue;
-    const std::size_t size = p.packet.payload.size();
+  const auto packets = EventsOf(report, core::Protocol::kBluetooth);
+  EXPECT_GE(packets.size(), visible.size() * 6 / 10);
+  for (const auto& p : packets) {
+    if (!p.crc_ok) continue;
+    const std::size_t size = p.payload.size();
     EXPECT_GE(size, 225u);
     EXPECT_LT(size, 340u);
   }
@@ -245,8 +255,8 @@ TEST(Integration, RFDumpCheaperThanNaive) {
   const auto rf_report = rfdump.Process(x);
 
   // Both find the data frames...
-  EXPECT_GE(rf_report.wifi_frames.size(), 6u);
-  EXPECT_GE(naive_report.wifi_frames.size(), 6u);
+  EXPECT_GE(EventsOf(rf_report, core::Protocol::kWifi80211b).size(), 6u);
+  EXPECT_GE(EventsOf(naive_report, core::Protocol::kWifi80211b).size(), 6u);
   // ...but RFDump forwards far fewer samples and burns far less CPU.
   EXPECT_LT(core::CoverageSamples(rf_report.dispatched),
             core::CoverageSamples(naive_report.dispatched) / 2);
@@ -272,7 +282,7 @@ TEST(Integration, EnergyGatedBetweenNaiveAndRFDump) {
 
   EXPECT_LT(energy_report.TotalCpuSeconds(),
             naive_report.TotalCpuSeconds());
-  EXPECT_GE(energy_report.wifi_frames.size(), 6u);
+  EXPECT_GE(EventsOf(energy_report, core::Protocol::kWifi80211b).size(), 6u);
 }
 
 // ----------------------------------------------------------------- trace IO

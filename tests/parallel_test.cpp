@@ -2,11 +2,12 @@
 // width, a monitoring run must produce *identical* results — parallelism may
 // only move wall time. The sweep covers the batch pipeline and the streaming
 // monitor (clean and impaired input), the supervisor's no-poisoning
-// guarantee under a crashing demodulator, the unified ResultSink, and
+// guarantee under a crashing demodulator, the ResultSink, and
 // Config::Validate.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -57,37 +58,15 @@ dsp::SampleVec MixedEther(std::uint64_t seed) {
 // timing fields are the only report contents allowed to differ across
 // widths, so they are the only ones left out.
 
-std::string Fp(const rfdump::phy80211::DecodedFrame& f) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "wifi %lld %lld %d %d %d %zu ",
-                static_cast<long long>(f.start_sample),
-                static_cast<long long>(f.end_sample),
-                static_cast<int>(f.header.rate), f.payload_decoded ? 1 : 0,
-                f.fcs_ok ? 1 : 0, f.mpdu.size());
-  std::string out = buf;
-  for (const auto b : f.mpdu) out += std::to_string(b) + ",";
-  return out;
-}
-
-std::string Fp(const rfdump::phybt::DecodedBtPacket& p) {
+std::string Fp(const core::ProtocolEvent& e) {
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "bt %06x ch%d %lld %lld %d %zu ", p.lap,
-                p.channel_index, static_cast<long long>(p.start_sample),
-                static_cast<long long>(p.end_sample), p.packet.crc_ok ? 1 : 0,
-                p.packet.payload.size());
+  std::snprintf(buf, sizeof(buf), "%s ch%d %lld %lld %d %08x %zu ",
+                core::ProtocolName(e.protocol), e.channel,
+                static_cast<long long>(e.start_sample),
+                static_cast<long long>(e.end_sample), e.crc_ok ? 1 : 0,
+                e.header, e.payload.size());
   std::string out = buf;
-  for (const auto b : p.packet.payload) out += std::to_string(b) + ",";
-  return out;
-}
-
-std::string Fp(const rfdump::phyzigbee::DecodedZbFrame& z) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "zb %lld %lld %d %zu ",
-                static_cast<long long>(z.start_sample),
-                static_cast<long long>(z.end_sample), z.crc_ok ? 1 : 0,
-                z.psdu.size());
-  std::string out = buf;
-  for (const auto b : z.psdu) out += std::to_string(b) + ",";
+  for (const auto b : e.payload) out += std::to_string(b) + ",";
   return out;
 }
 
@@ -101,38 +80,29 @@ std::string Fp(const core::Detection& d) {
   return buf;
 }
 
-template <typename T>
-std::vector<std::string> Fps(const std::vector<T>& xs) {
-  std::vector<std::string> out;
-  out.reserve(xs.size());
-  for (const auto& x : xs) out.push_back(Fp(x));
-  return out;
-}
-
 /// Result-bearing content of a MonitorReport (everything except timing).
 std::vector<std::string> Fingerprint(const core::MonitorReport& r) {
   std::vector<std::string> out;
   out.push_back("samples " + std::to_string(r.samples_total));
   out.push_back("counts " + std::to_string(r.detections.size()) + " " +
                 std::to_string(r.dispatched.size()) + " " +
-                std::to_string(r.wifi_frames.size()) + " " +
-                std::to_string(r.bt_packets.size()) + " " +
-                std::to_string(r.zb_frames.size()));
+                std::to_string(r.events.size()));
   for (const auto& d : r.detections) out.push_back(Fp(d));
   for (const auto& d : r.dispatched) out.push_back(Fp(d));
-  for (const auto& f : r.wifi_frames) out.push_back(Fp(f));
-  for (const auto& p : r.bt_packets) out.push_back(Fp(p));
-  for (const auto& z : r.zb_frames) out.push_back(Fp(z));
+  for (const auto& e : r.events) out.push_back(Fp(e));
   return out;
 }
 
 std::vector<std::string> Fingerprint(const core::CollectingSink& s) {
   std::vector<std::string> out;
   for (const auto& d : s.detections) out.push_back(Fp(d));
-  for (const auto& f : s.wifi_frames) out.push_back(Fp(f));
-  for (const auto& p : s.bt_packets) out.push_back(Fp(p));
-  for (const auto& z : s.zb_frames) out.push_back(Fp(z));
+  for (const auto& e : s.events) out.push_back(Fp(e));
   return out;
+}
+
+bool Decoded(const core::MonitorReport& r, core::Protocol p) {
+  return std::any_of(r.events.begin(), r.events.end(),
+                     [p](const auto& e) { return e.protocol == p; });
 }
 
 // ------------------------------------------------------------ batch pipeline
@@ -147,8 +117,7 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
     EXPECT_EQ(executor.serial(), width == 1);
     core::CollectingSink sink;
     core::RFDumpPipeline::Config cfg;
-    cfg.zigbee_detector = true;
-    cfg.analysis.zigbee_demod = true;
+    cfg.EnableBundle(core::Protocol::kZigbee);
     cfg.executor = &executor;
     cfg.sink = &sink;
     const auto report = core::RFDumpPipeline(cfg).Process(x);
@@ -157,9 +126,9 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
     if (width == 1) {
       // The serial run must actually exercise every protocol, or identical
       // empty reports would pass vacuously.
-      EXPECT_FALSE(report.wifi_frames.empty());
-      EXPECT_FALSE(report.bt_packets.empty());
-      EXPECT_FALSE(report.zb_frames.empty());
+      EXPECT_TRUE(Decoded(report, core::Protocol::kWifi80211b));
+      EXPECT_TRUE(Decoded(report, core::Protocol::kBluetooth));
+      EXPECT_TRUE(Decoded(report, core::Protocol::kZigbee));
       EXPECT_EQ(sink.health.size(), report.health.size());
       baseline = fp;
       sink_baseline = sink_fp;
@@ -182,8 +151,8 @@ TEST(Parallel, NaivePipelineIdenticalAcrossWidths) {
     const auto report = core::NaivePipeline(cfg).Process(x);
     const auto fp = Fingerprint(report);
     if (width == 1) {
-      EXPECT_FALSE(report.wifi_frames.empty());
-      EXPECT_FALSE(report.bt_packets.empty());
+      EXPECT_TRUE(Decoded(report, core::Protocol::kWifi80211b));
+      EXPECT_TRUE(Decoded(report, core::Protocol::kBluetooth));
       baseline = fp;
     } else {
       EXPECT_EQ(fp, baseline) << "naive report diverged at width " << width;
@@ -303,8 +272,9 @@ TEST(Parallel, ThrowingUnitDoesNotPoisonSiblings) {
 
     const auto counts = supervisor.counts();
     EXPECT_GT(counts.exception, 0u) << "fault hook never fired";
-    EXPECT_TRUE(report.bt_packets.empty());  // the crashed units' output
-    EXPECT_FALSE(report.wifi_frames.empty())
+    // The crashed units' output is gone; the sibling Wi-Fi analysis is not.
+    EXPECT_FALSE(Decoded(report, core::Protocol::kBluetooth));
+    EXPECT_TRUE(Decoded(report, core::Protocol::kWifi80211b))
         << "sibling Wi-Fi analysis was poisoned at width " << width;
     const auto fp = Fingerprint(report);
     if (width == 1) {
@@ -418,38 +388,6 @@ TEST(Parallel, PushIsPushSegmentWithAutoTimestamp) {
   EXPECT_EQ(Fingerprint(a), Fingerprint(b));
 }
 
-TEST(Parallel, SinkAndLegacyCallbacksSeeTheSameResults) {
-  // Back-compat contract: the deprecated callback quartet keeps firing, in
-  // the same order, alongside a configured sink (ZigBee excepted — the
-  // quartet never had a ZigBee slot).
-  const auto x = MixedEther(/*seed=*/19);
-  core::StreamingMonitor::Config mcfg;
-  mcfg.block_samples = 400'000;
-  mcfg.overlap_samples = 160'000;
-  core::CollectingSink sink;
-  mcfg.sink = &sink;
-  core::StreamingMonitor monitor(mcfg);
-  core::CollectingSink legacy;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    legacy.OnWifiFrame(f);
-  };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-    legacy.OnBtPacket(p);
-  };
-  monitor.on_detection = [&](const core::Detection& d) {
-    legacy.OnDetection(d);
-  };
-  monitor.on_health = [&](const core::HealthReport& h) { legacy.OnHealth(h); };
-  monitor.Push(x);
-  monitor.Flush();
-
-  ASSERT_FALSE(sink.wifi_frames.empty());
-  EXPECT_EQ(Fps(sink.wifi_frames), Fps(legacy.wifi_frames));
-  EXPECT_EQ(Fps(sink.bt_packets), Fps(legacy.bt_packets));
-  EXPECT_EQ(Fps(sink.detections), Fps(legacy.detections));
-  EXPECT_EQ(sink.health.size(), legacy.health.size());
-}
-
 // A sink that trips if the monitor ever delivers two results concurrently.
 // The ResultSink threading contract promises emitters serialise all calls —
 // that guarantee is what lets CollectingSink (and any user sink) stay
@@ -462,17 +400,9 @@ class ReentryGuardSink final : public core::ResultSink {
   core::CollectingSink inner;
   std::atomic<int> overlaps{0};
 
-  void OnWifiFrame(const rfdump::phy80211::DecodedFrame& f) override {
+  void OnEvent(const core::ProtocolEvent& e) override {
     const Guard g(this);
-    inner.OnWifiFrame(f);
-  }
-  void OnBtPacket(const rfdump::phybt::DecodedBtPacket& p) override {
-    const Guard g(this);
-    inner.OnBtPacket(p);
-  }
-  void OnZbFrame(const rfdump::phyzigbee::DecodedZbFrame& f) override {
-    const Guard g(this);
-    inner.OnZbFrame(f);
+    inner.OnEvent(e);
   }
   void OnDetection(const core::Detection& d) override {
     const Guard g(this);
@@ -502,11 +432,10 @@ class ReentryGuardSink final : public core::ResultSink {
   std::atomic<bool> busy_{false};
 };
 
-TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
+TEST(Parallel, CollectingSinkUnderConcurrentDelivery) {
   // A pipelined monitor (worker threads + queued blocks) must deliver to one
-  // unsynchronised CollectingSink and to the legacy callback shims exactly
-  // what the serial run produces: same results, same order, never two calls
-  // at once.
+  // unsynchronised CollectingSink exactly what the serial run produces: same
+  // results, same order, never two calls at once.
   const auto x = MixedEther(/*seed=*/23);
   std::vector<std::string> baseline;
   for (const int width : kWidths) {
@@ -518,19 +447,6 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     ReentryGuardSink sink;
     mcfg.sink = &sink;
     core::StreamingMonitor monitor(mcfg);
-    core::CollectingSink legacy;
-    monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-      legacy.OnWifiFrame(f);
-    };
-    monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-      legacy.OnBtPacket(p);
-    };
-    monitor.on_detection = [&](const core::Detection& d) {
-      legacy.OnDetection(d);
-    };
-    monitor.on_health = [&](const core::HealthReport& h) {
-      legacy.OnHealth(h);
-    };
     monitor.Push(x);
     monitor.Flush();
 
@@ -543,34 +459,7 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     } else {
       EXPECT_EQ(fp, baseline) << "sink results diverged at width " << width;
     }
-    // The deprecated quartet mirrors the sink at every width (no ZigBee
-    // slot — the quartet never had one).
-    EXPECT_EQ(Fps(sink.inner.wifi_frames), Fps(legacy.wifi_frames));
-    EXPECT_EQ(Fps(sink.inner.bt_packets), Fps(legacy.bt_packets));
-    EXPECT_EQ(Fps(sink.inner.detections), Fps(legacy.detections));
-    EXPECT_EQ(sink.inner.health.size(), legacy.health.size());
   }
-}
-
-TEST(Parallel, FunctionSinkRoutesEachSlot) {
-  core::FunctionSink sink;
-  int wifi = 0, bt = 0, zb = 0, det = 0, health = 0;
-  sink.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame&) { ++wifi; };
-  sink.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket&) { ++bt; };
-  sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) { ++zb; };
-  sink.on_detection = [&](const core::Detection&) { ++det; };
-  sink.on_health = [&](const core::HealthReport&) { ++health; };
-  core::ResultSink& as_sink = sink;
-  as_sink.OnWifiFrame({});
-  as_sink.OnBtPacket({});
-  as_sink.OnZbFrame({});
-  as_sink.OnDetection({});
-  as_sink.OnHealth({});
-  EXPECT_EQ(wifi, 1);
-  EXPECT_EQ(bt, 1);
-  EXPECT_EQ(zb, 1);
-  EXPECT_EQ(det, 1);
-  EXPECT_EQ(health, 1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Protocol bundle registry invariants (DESIGN.md §15): registration
 // validation, deterministic enumeration, derived name/feature tables,
-// bundle-mask gating in both pipelines, and the legacy MonitorReport shims
-// staying bit-identical to the generic event view.
+// bundle-mask gating in both pipelines, and every analysis unit's commit
+// showing up in the report fingerprint.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,7 +12,10 @@
 #include "rfdump/core/pipeline.hpp"
 #include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/core/protocols.hpp"
+#include "rfdump/emu/ether.hpp"
+#include "rfdump/testing/differential.hpp"
 #include "rfdump/testing/scenario.hpp"
+#include "rfdump/util/work_budget.hpp"
 
 namespace {
 
@@ -112,12 +115,10 @@ TEST(ProtocolRegistry, DefaultMaskMatchesBundleFlags) {
     EXPECT_EQ((mask & BundleBit(bundle.protocol)) != 0, bundle.default_enabled)
         << "protocol " << bundle.name;
   }
-  // BLE advertising is the opt-in proof case; the historical four are on.
-  EXPECT_EQ(mask & BundleBit(Protocol::kBleAdv), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kWifi80211b), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kBluetooth), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kZigbee), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kMicrowave), 0u);
+  // The paper's default monitor: 802.11 and Bluetooth. Everything else is
+  // opt-in (and shed first under overload).
+  EXPECT_EQ(mask, BundleBit(Protocol::kWifi80211b) |
+                      BundleBit(Protocol::kBluetooth));
 }
 
 // Shared scenario for the pipeline-gating tests (rendered once; the unit
@@ -160,6 +161,12 @@ TEST(ProtocolRegistry, DisabledBundleProducesNoTasksOrResults) {
       enabled_report.events.begin(), enabled_report.events.end(),
       [](const ProtocolEvent& e) { return e.protocol == Protocol::kBleAdv; });
   EXPECT_GT(ble_events, 0);
+  // The events are grouped by ascending protocol id (registry order).
+  EXPECT_TRUE(std::is_sorted(
+      enabled_report.events.begin(), enabled_report.events.end(),
+      [](const ProtocolEvent& a, const ProtocolEvent& b) {
+        return a.protocol < b.protocol;
+      }));
 }
 
 TEST(ProtocolRegistry, NaiveMaskGatesMembers) {
@@ -170,57 +177,37 @@ TEST(ProtocolRegistry, NaiveMaskGatesMembers) {
   rfdump::core::NaivePipeline pipeline(cfg);
   const auto report = pipeline.Process(scenario.samples);
 
-  EXPECT_GT(report.wifi_frames.size(), 0u);
-  EXPECT_EQ(report.bt_packets.size(), 0u);
-  EXPECT_EQ(report.zb_frames.size(), 0u);
+  EXPECT_FALSE(report.events.empty());
   for (const auto& e : report.events) {
     EXPECT_EQ(e.protocol, Protocol::kWifi80211b);
   }
 }
 
-TEST(ProtocolRegistry, LegacyShimsMatchGenericEventView) {
-  const auto& scenario = MixScenario();
-
-  rfdump::core::RFDumpPipeline::Config cfg;
-  cfg.EnableBundle(Protocol::kZigbee);
-  cfg.EnableBundle(Protocol::kBleAdv);
-  rfdump::core::RFDumpPipeline pipeline(cfg);
-  const auto report = pipeline.Process(scenario.samples);
-  ASSERT_GT(report.events.size(), 0u);
-
-  // Rebuild the expected view straight from the bundles' collect_events
-  // hooks; bundles without a hook (BLE) commit events natively, so their
-  // entries are taken from the report verbatim.
-  std::vector<ProtocolEvent> expected;
+TEST(ProtocolRegistry, EveryRunUnitCommitFingerprintsItsOwnFrame) {
+  // For each bundle with an analysis unit, render its own canned traffic and
+  // run the units over it, each committing into a fresh report: some unit
+  // must commit a non-empty ExactFingerprint. A fingerprint that skipped a
+  // protocol would read as zero yield (the benchmark's unit.*.yield).
+  const rfdump::core::AnalysisConfig analysis;
   for (const auto& bundle : ProtocolRegistry::Instance().bundles()) {
-    if (bundle.collect_events) {
-      bundle.collect_events(report, expected);
-    } else {
-      for (const auto& e : report.events) {
-        if (e.protocol == bundle.protocol) expected.push_back(e);
-      }
+    if (!bundle.run_unit) continue;
+    ASSERT_TRUE(bundle.canned_traffic) << bundle.name;
+    rfdump::emu::Ether ether(rfdump::emu::Ether::Config{}, 5);
+    const std::int64_t end = bundle.canned_traffic(ether, 8'000, 0.0);
+    const auto x = ether.Render(end + 8'000);
+    rfdump::util::WorkBudget unlimited;
+    rfdump::core::AnalysisUnitContext ctx;
+    ctx.span = x;
+    ctx.analysis = &analysis;
+    ctx.budget = &unlimited;
+    bool fingerprinted = false;
+    for (int unit = 0; unit < bundle.analysis_plan(analysis).units; ++unit) {
+      rfdump::core::MonitorReport unit_report;
+      if (auto commit = bundle.run_unit(ctx, unit)) commit(unit_report);
+      fingerprinted |= !rfdump::testing::ExactFingerprint(unit_report).empty();
     }
+    EXPECT_TRUE(fingerprinted) << bundle.name;
   }
-
-  ASSERT_EQ(report.events.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const auto& got = report.events[i];
-    const auto& want = expected[i];
-    EXPECT_EQ(got.protocol, want.protocol) << "event " << i;
-    EXPECT_EQ(got.start_sample, want.start_sample) << "event " << i;
-    EXPECT_EQ(got.end_sample, want.end_sample) << "event " << i;
-    EXPECT_EQ(got.channel, want.channel) << "event " << i;
-    EXPECT_EQ(got.crc_ok, want.crc_ok) << "event " << i;
-    EXPECT_EQ(got.payload, want.payload) << "event " << i;
-  }
-
-  // The view is grouped by ascending protocol id (registry order).
-  EXPECT_TRUE(std::is_sorted(
-      report.events.begin(), report.events.end(),
-      [](const ProtocolEvent& a, const ProtocolEvent& b) {
-        return static_cast<unsigned>(a.protocol) <
-               static_cast<unsigned>(b.protocol);
-      }));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "rfdump/channel/channel.hpp"
+#include "rfdump/core/pipeline.hpp"
 #include "rfdump/dsp/db.hpp"
 #include "rfdump/dsp/energy.hpp"
 #include "rfdump/emu/ether.hpp"
@@ -132,11 +133,15 @@ TEST(Pcap, RoundTripsDecodedFrames) {
   const auto x = ether.Render(session.end_sample + 8000);
   rfdump::core::RFDumpPipeline pipeline;
   const auto report = pipeline.Process(x);
-  ASSERT_GE(report.wifi_frames.size(), 10u);
+  std::vector<rfdump::core::ProtocolEvent> wifi;
+  for (const auto& e : report.events) {
+    if (e.protocol == rfdump::core::Protocol::kWifi80211b) wifi.push_back(e);
+  }
+  ASSERT_GE(wifi.size(), 10u);
 
   const std::string path = "/tmp/rfdump_test.pcap";
-  const auto written = rfdump::trace::WritePcap(path, report.wifi_frames);
-  EXPECT_EQ(written, report.wifi_frames.size());
+  const auto written = rfdump::trace::WritePcap(path, report.events);
+  EXPECT_EQ(written, wifi.size());
 
   std::uint32_t linktype = 0;
   const auto records = rfdump::trace::ReadPcap(path, &linktype);
@@ -144,10 +149,9 @@ TEST(Pcap, RoundTripsDecodedFrames) {
   ASSERT_EQ(records.size(), written);
   // Bytes round-trip and timestamps are monotonic and sample-accurate.
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].bytes, report.wifi_frames[i].mpdu) << i;
+    EXPECT_EQ(records[i].bytes, wifi[i].payload) << i;
     const auto expect_us = static_cast<std::uint64_t>(
-        static_cast<double>(report.wifi_frames[i].start_sample) /
-        dsp::kSampleRateHz * 1e6);
+        static_cast<double>(wifi[i].start_sample) / dsp::kSampleRateHz * 1e6);
     EXPECT_NEAR(static_cast<double>(records[i].timestamp_us),
                 static_cast<double>(expect_us), 2.0)
         << i;
@@ -156,13 +160,17 @@ TEST(Pcap, RoundTripsDecodedFrames) {
 }
 
 TEST(Pcap, SkipsHeaderOnlyFrames) {
-  std::vector<phy::DecodedFrame> frames(2);
-  frames[0].payload_decoded = false;  // CCK header-only: no bytes
-  frames[1].payload_decoded = true;
-  frames[1].mpdu = {1, 2, 3, 4, 5};
-  frames[1].start_sample = 8000;
+  // Only 802.11 events with decoded bytes are written: not a CCK header-only
+  // detection, and not another protocol's decode.
+  std::vector<rfdump::core::ProtocolEvent> events(3);
+  events[0].protocol = rfdump::core::Protocol::kWifi80211b;
+  events[1].protocol = rfdump::core::Protocol::kWifi80211b;
+  events[1].payload = {1, 2, 3, 4, 5};
+  events[1].start_sample = 8000;
+  events[2].protocol = rfdump::core::Protocol::kBluetooth;
+  events[2].payload = {6, 7};
   const std::string path = "/tmp/rfdump_test2.pcap";
-  EXPECT_EQ(rfdump::trace::WritePcap(path, frames), 1u);
+  EXPECT_EQ(rfdump::trace::WritePcap(path, events), 1u);
   const auto records = rfdump::trace::ReadPcap(path);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].bytes.size(), 5u);

@@ -10,10 +10,12 @@
 #include <cmath>
 #include <map>
 
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/frontend.hpp"
 #include "rfdump/emu/ether.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/testing/scenario.hpp"
 #include "rfdump/traffic/traffic.hpp"
 
 namespace core = rfdump::core;
@@ -46,6 +48,15 @@ core::StreamingMonitor::Config SmallBlocks() {
   cfg.overlap_samples = 160'000;
   return cfg;
 }
+
+/// Every emitted 802.11 decode.
+class WifiFrames final : public core::ResultSink {
+ public:
+  void OnEvent(const core::ProtocolEvent& e) override {
+    if (e.protocol == core::Protocol::kWifi80211b) frames.push_back(e);
+  }
+  std::vector<core::ProtocolEvent> frames;
+};
 
 /// Feeds every front-end delivery into the monitor and flushes.
 void Drive(emu::FrontEnd& fe, core::StreamingMonitor& monitor) {
@@ -92,10 +103,10 @@ TEST(StreamingFault, GapsReportedFramesHonest) {
 
   auto mcfg = SmallBlocks();
   mcfg.pipeline.saturation_amplitude = fcfg.clip_amplitude;
+  WifiFrames sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::vector<rfdump::phy80211::DecodedFrame> frames;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame& f) { frames.push_back(f); };
+  const auto& frames = sink.frames;
   Drive(fe, monitor);
 
   // 1. Every injected overrun the host could possibly observe (i.e. followed
@@ -196,10 +207,11 @@ TEST(StreamingFault, FrameStraddlingGapIsAGapNotAFrame) {
       data.start_sample + (data.end_sample - data.start_sample) / 2;
   const std::int64_t resume = cut + 5'000;  // 5k samples lost
 
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<rfdump::phy80211::DecodedFrame> frames;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame& f) { frames.push_back(f); };
+  WifiFrames sink;
+  auto mcfg = SmallBlocks();
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
+  const auto& frames = sink.frames;
   const auto all = dsp::const_sample_span(scenario.samples);
   monitor.PushSegment(0, all.first(static_cast<std::size_t>(cut)));
   monitor.PushSegment(resume, all.subspan(static_cast<std::size_t>(resume)));
@@ -226,10 +238,10 @@ TEST(StreamingFault, SheddingEngagesAndRecoversWithHysteresis) {
   mcfg.overlap_samples = 40'000;
   mcfg.cpu_budget = 1e-9;        // impossible budget: every block overruns
   mcfg.shed_resume_blocks = 2;
+  core::CollectingSink sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::vector<core::Detection> detections;
-  monitor.on_detection =
-      [&](const core::Detection& d) { detections.push_back(d); };
+  const auto& detections = sink.detections;
 
   const auto all = dsp::const_sample_span(scenario.samples);
   const std::size_t half = scenario.samples.size() / 2;
@@ -293,6 +305,73 @@ TEST(StreamingFault, SheddingEngagesAndRecoversWithHysteresis) {
     }
   }
   EXPECT_TRUE(stage3_block_with_activity);
+}
+
+TEST(StreamingFault, ShedStageOneDropsOptInBundles) {
+  // Regression: shed stage 1 used to drop "optional detectors" by clearing
+  // per-protocol booleans, which opt-in BLE never had — so BLE kept being
+  // tagged, dispatched and decoded until stage 3. Stage 1 keeps only the
+  // default-enabled bundles.
+  const auto scenario = rfdump::testing::CannedMixedScenario(42);
+  class StageSink final : public core::ResultSink {
+   public:
+    // Health arrives first for each block, so `stage` is the stage of the
+    // block whose detections and events follow.
+    void OnHealth(const core::HealthReport& h) override {
+      stage = h.shed_stage;
+      ++blocks;
+    }
+    void OnDetection(const core::Detection& d) override {
+      if (d.protocol != core::Protocol::kBleAdv) return;
+      ++(stage > 0 ? ble_tags_shed : ble_tags);
+      if (blocks == 1) ++ble_tags_first_block;
+    }
+    void OnEvent(const core::ProtocolEvent& e) override {
+      if (e.protocol == core::Protocol::kBleAdv) {
+        ++(stage > 0 ? ble_events_shed : ble_events);
+      }
+    }
+    int stage = 0;
+    std::size_t blocks = 0, shed_blocks = 0;
+    std::size_t ble_tags = 0, ble_tags_shed = 0, ble_tags_first_block = 0;
+    std::size_t ble_events = 0, ble_events_shed = 0;
+  };
+  const auto run = [&](double cpu_budget, StageSink& sink) {
+    core::StreamingMonitor::Config mcfg;
+    mcfg.pipeline.EnableBundle(core::Protocol::kBleAdv);
+    mcfg.block_samples = 100'000;
+    mcfg.overlap_samples = 40'000;
+    mcfg.cpu_budget = cpu_budget;
+    mcfg.sink = &sink;
+    core::StreamingMonitor monitor(mcfg);
+    monitor.Push(scenario.samples);
+    monitor.Flush();
+    for (const auto& h : monitor.health()) sink.shed_blocks += h.shed_stage > 0;
+  };
+
+  // Control: unshed, the monitor tags and decodes BLE, all after the first
+  // block (which every shed run processes at stage 0).
+  StageSink control;
+  run(0.0, control);
+  ASSERT_GT(control.ble_tags, 0u);
+  ASSERT_GT(control.ble_events, 0u);
+  ASSERT_EQ(control.ble_tags_first_block, 0u);
+
+  auto& reg = rfdump::obs::Registry::Default();
+  const char* const forwarded =
+      "rfdump_dispatch_forwarded_total{protocol=\"BLE-adv\"}";
+  const auto forwarded0 = reg.CounterValue(forwarded);
+  StageSink shed;
+  run(1e-9, shed);  // impossible budget: stage >= 1 from the second block on
+  ASSERT_GT(shed.shed_blocks, 0u);
+  EXPECT_EQ(shed.ble_tags_shed, 0u);
+  EXPECT_EQ(shed.ble_events_shed, 0u);
+#if RFDUMP_OBS_ENABLED
+  EXPECT_EQ(reg.CounterValue(forwarded) - forwarded0, 0u)
+      << "BLE intervals dispatched while shed";
+#else
+  (void)forwarded0;
+#endif
 }
 
 TEST(StreamingFault, DisablingBudgetRestoresFullPipelineImmediately) {

@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/core/supervisor.hpp"
 #include "rfdump/emu/ether.hpp"
@@ -54,6 +56,38 @@ core::StreamingMonitor::Config SmallBlocks() {
   cfg.overlap_samples = 160'000;
   return cfg;
 }
+
+/// Runs `fn` under one Admit/Finish stage boundary, as the analysis stage
+/// does for every dispatched interval: a throw is an exception outcome, an
+/// expired budget a deadline.
+template <typename F>
+core::Outcome Supervised(core::Supervisor& sup, core::Protocol p,
+                         std::int64_t start, std::int64_t end,
+                         dsp::const_sample_span interval, F&& fn) {
+  auto admission = sup.Admit(p, start, end, interval);
+  if (!admission->admitted) return admission->outcome;
+  core::Outcome outcome = core::Outcome::kOk;
+  std::string error;
+  try {
+    fn(admission->budget);
+    if (admission->budget.expired()) outcome = core::Outcome::kDeadline;
+  } catch (const std::exception& e) {
+    outcome = core::Outcome::kException;
+    error = e.what();
+  }
+  return sup.Finish(*admission, outcome, std::move(error), interval);
+}
+
+/// Counts emitted decodes per protocol.
+class CountingSink final : public core::ResultSink {
+ public:
+  void OnEvent(const core::ProtocolEvent& e) override {
+    if (e.protocol == core::Protocol::kWifi80211b) wifi.push_back(e);
+    if (e.protocol == core::Protocol::kBluetooth) ++bt;
+  }
+  std::vector<core::ProtocolEvent> wifi;
+  std::size_t bt = 0;
+};
 
 void DriveWhole(core::StreamingMonitor& monitor,
                 dsp::const_sample_span samples) {
@@ -187,14 +221,14 @@ TEST(Supervision, BreakerTripsBacksOffAndRecovers) {
   core::Supervisor sup(cfg);
   const dsp::SampleVec dummy(64);
   const auto fail = [&] {
-    return sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                         [](util::WorkBudget&) {
-                           throw std::runtime_error("boom");
-                         });
+    return Supervised(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+                      [](util::WorkBudget&) {
+                        throw std::runtime_error("boom");
+                      });
   };
   const auto succeed = [&] {
-    return sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                         [](util::WorkBudget&) {});
+    return Supervised(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+                      [](util::WorkBudget&) {});
   };
 
   // Two failures in the window trip the breaker open.
@@ -229,12 +263,12 @@ TEST(Supervision, BreakerTripsBacksOffAndRecovers) {
   // While the half-open probe is in flight, other intervals are skipped.
   bool probe_ran = false;
   std::thread probe([&] {
-    sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                  [&](util::WorkBudget&) {
-                    probe_ran = true;
-                    // A second interval arriving mid-probe is not admitted.
-                    EXPECT_EQ(succeed(), core::Outcome::kSkipped);
-                  });
+    Supervised(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+               [&](util::WorkBudget&) {
+                 probe_ran = true;
+                 // A second interval arriving mid-probe is not admitted.
+                 EXPECT_EQ(succeed(), core::Outcome::kSkipped);
+               });
   });
   probe.join();
   EXPECT_TRUE(probe_ran);
@@ -261,10 +295,10 @@ TEST(Supervision, QuarantineRingIsBoundedAndKeepsNewest) {
   sup.set_stream_offset(10'000);
   dsp::SampleVec interval(32, dsp::cfloat{1.0f, -1.0f});
   for (int i = 0; i < 10; ++i) {
-    sup.Supervise(core::Protocol::kBluetooth, i * 100, i * 100 + 32, interval,
-                  [](util::WorkBudget&) {
-                    throw std::runtime_error("poison");
-                  });
+    Supervised(sup, core::Protocol::kBluetooth, i * 100, i * 100 + 32,
+               interval, [](util::WorkBudget&) {
+                 throw std::runtime_error("poison");
+               });
   }
   const auto q = sup.quarantine();
   ASSERT_EQ(q.size(), 4u);  // oldest evicted
@@ -313,14 +347,14 @@ TEST(Supervision, ConcurrentSuperviseIsRaceFree) {
       const auto proto = (t % 2 == 0) ? core::Protocol::kWifi80211b
                                       : core::Protocol::kBluetooth;
       for (int i = 0; i < 200; ++i) {
-        sup.Supervise(proto, i, i + 128, interval,
-                      [&](util::WorkBudget& b) {
-                        if (i % 3 == 0) throw std::runtime_error("x");
-                        if (i % 3 == 1) {
-                          while (b.Charge(512)) {
-                          }
-                        }
-                      });
+        Supervised(sup, proto, i, i + 128, interval,
+                   [&](util::WorkBudget& b) {
+                     if (i % 3 == 0) throw std::runtime_error("x");
+                     if (i % 3 == 1) {
+                       while (b.Charge(512)) {
+                       }
+                     }
+                   });
       }
     });
   }
@@ -347,17 +381,17 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
   const auto cutoff = static_cast<std::int64_t>(samples.size() / 2);
 
   // Control run: same band, no faults.
-  std::size_t control_wifi = 0, control_bt = 0;
+  CountingSink control_sink;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_wifi_frame =
-        [&](const rfdump::phy80211::DecodedFrame&) { ++control_wifi; };
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
+    auto ccfg = SmallBlocks();
+    ccfg.sink = &control_sink;
+    core::StreamingMonitor control(ccfg);
     DriveWhole(control, span);
-    ASSERT_GT(control_wifi, 0u);
-    ASSERT_GT(control_bt, 0u);
+    ASSERT_GT(control_sink.wifi.size(), 0u);
+    ASSERT_GT(control_sink.bt, 0u);
   }
+  const std::size_t control_wifi = control_sink.wifi.size();
+  const std::size_t control_bt = control_sink.bt;
 
   namespace obs = rfdump::obs;
   auto& reg = obs::Registry::Default();
@@ -384,15 +418,12 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
       throw std::runtime_error("injected demodulator crash");
     }
   };
+  CountingSink sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  std::vector<rfdump::phy80211::DecodedFrame> wifi_frames;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    wifi_frames.push_back(f);
-  };
   DriveWhole(monitor, span);  // completing at all is the headline assertion
+  const std::size_t faulty_bt = sink.bt;
+  const auto& wifi_decodes = sink.wifi;
 
   // The other protocol decoded at exactly the unimpaired rate.
   EXPECT_EQ(faulty_bt, control_bt);
@@ -410,9 +441,9 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
 
   // 802.11 decoding resumed after recovery: every decoded frame is post-
   // cutoff, and there are some.
-  EXPECT_GT(wifi_frames.size(), 0u);
-  EXPECT_LT(wifi_frames.size(), control_wifi);
-  for (const auto& f : wifi_frames) EXPECT_GE(f.start_sample, cutoff);
+  EXPECT_GT(wifi_decodes.size(), 0u);
+  EXPECT_LT(wifi_decodes.size(), control_wifi);
+  for (const auto& f : wifi_decodes) EXPECT_GE(f.start_sample, cutoff);
 
   // Quarantine holds the poison intervals: right protocol, right outcome,
   // absolute positions inside the faulty region, non-empty snapshots.
@@ -479,13 +510,13 @@ TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
                                   /*seed=*/72);
   const auto span = dsp::const_sample_span(samples);
 
-  std::size_t control_bt = 0;
+  CountingSink control;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
-    DriveWhole(control, span);
-    ASSERT_GT(control_bt, 0u);
+    auto ccfg = SmallBlocks();
+    ccfg.sink = &control;
+    core::StreamingMonitor monitor(ccfg);
+    DriveWhole(monitor, span);
+    ASSERT_GT(control.bt, 0u);
   }
 
   // Every 802.11 interval spins until the (deterministic, sample-count)
@@ -499,13 +530,12 @@ TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
       }
     }
   };
+  CountingSink sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
   DriveWhole(monitor, span);
 
-  EXPECT_EQ(faulty_bt, control_bt);
+  EXPECT_EQ(sink.bt, control.bt);
   const auto counts = monitor.supervisor().counts();
   EXPECT_GT(counts.deadline, 0u);
   EXPECT_EQ(counts.exception, 0u);
@@ -529,15 +559,13 @@ TEST(SupervisedStreaming, CleanPathAllOkAndQuarantineEmpty) {
   // quarantined, and both protocols decode.
   const auto samples = MixedEther(/*wifi_pings=*/6, /*bt_pings=*/16,
                                   /*seed=*/73);
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::size_t wifi = 0, bt = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++wifi; };
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++bt; };
+  CountingSink sink;
+  auto mcfg = SmallBlocks();
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
   DriveWhole(monitor, dsp::const_sample_span(samples));
-  EXPECT_GT(wifi, 0u);
-  EXPECT_GT(bt, 0u);
+  EXPECT_GT(sink.wifi.size(), 0u);
+  EXPECT_GT(sink.bt, 0u);
   const auto counts = monitor.supervisor().counts();
   EXPECT_GT(counts.invocations, 0u);
   EXPECT_EQ(counts.ok, counts.invocations);
