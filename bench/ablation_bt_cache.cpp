@@ -4,12 +4,11 @@
 // O(history). This bench measures hit rates and detector time with the cache
 // disabled and at several sizes.
 
-#include <chrono>
-
 #include "bench_common.hpp"
 #include "rfdump/core/peaks.hpp"
 #include "rfdump/core/scoring.hpp"
 #include "rfdump/core/timing_detectors.hpp"
+#include "rfdump/obs/stopwatch.hpp"
 
 namespace {
 namespace core = rfdump::core;
@@ -55,16 +54,14 @@ int main() {
     core::BluetoothTimingDetector::Config cfg;
     cfg.cache_size = cache;
     core::BluetoothTimingDetector timing(cfg);
-    const auto t0 = std::chrono::steady_clock::now();
+    const rfdump::obs::Stopwatch watch;
     std::vector<core::Detection> detections;
     // Feed peaks one at a time to model the streaming pattern.
     for (const auto& p : peaks) {
       auto d = timing.OnPeaks(std::span<const core::Peak>(&p, 1));
       detections.insert(detections.end(), d.begin(), d.end());
     }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double secs = watch.Seconds();
     const auto score = core::ScoreDetections(
         ether.truth(), core::Protocol::kBluetooth, detections, total,
         "bt-slot-timing");

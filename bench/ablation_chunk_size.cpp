@@ -6,10 +6,9 @@
 // Note kChunkSamples is a compile-time constant for the pipeline; this bench
 // reimplements the chunk loop locally so the size can vary.
 
-#include <chrono>
-
 #include "bench_common.hpp"
 #include "rfdump/core/peaks.hpp"
+#include "rfdump/obs/stopwatch.hpp"
 
 namespace {
 
@@ -24,16 +23,14 @@ struct Result {
 
 Result RunWithChunk(std::size_t chunk, dsp::const_sample_span x,
                     const std::vector<rfdump::emu::TruthRecord>& truth) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const rfdump::obs::Stopwatch watch;
   core::PeakDetector det;
   for (std::size_t at = 0; at < x.size(); at += chunk) {
     det.PushChunk(x.subspan(at, std::min(chunk, x.size() - at)),
                   static_cast<std::int64_t>(at));
   }
   det.Flush();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double secs = watch.Seconds();
   // Forwarding granularity: everything is dispatched in whole chunks, so a
   // peak costs ceil(len/chunk) chunks of samples.
   std::int64_t forwarded = 0;

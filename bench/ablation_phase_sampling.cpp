@@ -6,12 +6,11 @@
 // (extra samples forwarded per CCK packet whose DBPSK prefix ends between
 // probed windows).
 
-#include <chrono>
-
 #include "bench_common.hpp"
 #include "rfdump/core/peaks.hpp"
 #include "rfdump/core/phase_detectors.hpp"
 #include "rfdump/core/scoring.hpp"
+#include "rfdump/obs/stopwatch.hpp"
 
 namespace {
 namespace core = rfdump::core;
@@ -50,7 +49,7 @@ int main() {
     dcfg.scan_stride_windows = stride;
     core::DbpskPhaseDetector phase(dcfg);
     std::vector<core::Detection> detections;
-    const auto t0 = std::chrono::steady_clock::now();
+    const rfdump::obs::Stopwatch watch;
     for (const auto& p : det.history()) {
       const auto s = static_cast<std::size_t>(std::max<std::int64_t>(
           p.start_sample, 0));
@@ -61,9 +60,7 @@ int main() {
         detections.push_back(*d);
       }
     }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double secs = watch.Seconds();
     const auto merged = core::MergeDetections(detections, 0, total);
     const auto score = core::ScoreDetections(
         ether.truth(), core::Protocol::kWifi80211b, detections, total,

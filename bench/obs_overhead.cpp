@@ -34,10 +34,11 @@ namespace dsp = rfdump::dsp;
 
 /// Counts counter *mutations* (Inc calls) since the last ResetAll(), from
 /// the registry's exposition text. Every counter in the codebase increments
-/// by 1 per call — value == call count — EXCEPT the `*_samples_total`
-/// family, which does one bulk Inc(n) per entry point (per pipeline pass /
-/// per demod region); those contribute one atomic op per call, not per
-/// sample, and are charged separately by the caller.
+/// by 1 per call — value == call count — EXCEPT the `*_samples_total` and
+/// `*_nanoseconds_total` families, which do one bulk Inc(n) per entry point
+/// (per pipeline pass / per demod region / per stage-table export); those
+/// contribute one atomic op per call, not per sample or nanosecond, and are
+/// charged separately by the caller.
 std::uint64_t PerCallCounterEvents() {
   std::istringstream in(obs::Registry::Default().ExpositionText());
   std::uint64_t events = 0;
@@ -52,8 +53,8 @@ std::uint64_t PerCallCounterEvents() {
     if (name.size() < 6 || name.compare(name.size() - 6, 6, "_total") != 0) {
       continue;
     }
-    if (name.size() >= 14 &&
-        name.compare(name.size() - 14, 14, "_samples_total") == 0) {
+    if (name.ends_with("_samples_total") ||
+        name.ends_with("_nanoseconds_total")) {
       continue;  // bulk Inc(n): one op per call site invocation, see caller
     }
     events += static_cast<std::uint64_t>(std::atof(line.c_str() + space + 1));
@@ -180,11 +181,16 @@ int main() {
   const std::uint64_t per_call_events = PerCallCounterEvents();
 
   // Bulk Inc(n) call sites (`*_samples_total`) fire at region granularity —
-  // at most once per 200-sample chunk is a generous upper bound. Spans sit
-  // at stage granularity (CostLedger scopes + demod entry points).
-  const std::uint64_t bulk_calls = obs::Registry::Default().CounterValue(
-      "rfdump_peaks_chunks_total");
-  const std::uint64_t span_sites = report.costs.size() + 4;
+  // at most once per 200-sample chunk is a generous upper bound — plus the
+  // stage-table export's two Inc(n) per slot. Spans sit at stage
+  // granularity: one site per charged stage-table slot.
+  const std::uint64_t bulk_calls =
+      obs::Registry::Default().CounterValue("rfdump_peaks_chunks_total") +
+      2 * rfdump::core::kStageCount;
+  std::uint64_t span_sites = 0;
+  report.costs.ForEach([&](rfdump::core::Stage, const auto& c) {
+    span_sites += c.charged() ? 1 : 0;
+  });
   const std::uint64_t events = per_call_events + bulk_calls;
 
   const double instr_seconds =

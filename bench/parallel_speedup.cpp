@@ -28,7 +28,7 @@ namespace {
 namespace core = rfdump::core;
 namespace dsp = rfdump::dsp;
 
-/// Result-bearing fields only: cpu_seconds in the cost ledger is timing and
+/// Result-bearing fields only: the stage table's wall_ns is timing and
 /// legitimately differs across widths.
 bool SameResults(const core::MonitorReport& a, const core::MonitorReport& b,
                  std::string& why) {

@@ -5,23 +5,22 @@
 // We reproduce the *ordering and ratios*: both demodulators are ~10x or more
 // the cost of peak/energy detection.
 
-#include <chrono>
 #include <functional>
 
 #include "bench_common.hpp"
 #include "rfdump/core/peaks.hpp"
+#include "rfdump/obs/stopwatch.hpp"
 #include "rfdump/phy80211/demodulator.hpp"
 #include "rfdump/phybt/demodulator.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 namespace dsp = rfdump::dsp;
 
 double Time(const std::function<void()>& fn) {
-  const auto t0 = Clock::now();
+  const rfdump::obs::Stopwatch watch;
   fn();
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  return watch.Seconds();
 }
 
 }  // namespace

@@ -57,11 +57,12 @@ int main(int argc, char** argv) {
     std::printf("%12.6f %s\n", t, bundle->describe(e).c_str());
   }
 
-  // 4. Where did the CPU go?
-  std::printf("\nper-stage cost (CPU time / real time = %.2f):\n",
+  // 4. Where did the time go?
+  std::printf("\nper-stage wall time (stage time / real time = %.2f):\n",
               report.CpuOverRealTime());
-  for (const auto& c : report.costs) {
-    std::printf("  %-24s %8.4f s\n", c.name.c_str(), c.cpu_seconds);
-  }
+  report.costs.ForEach([](core::Stage s, const core::StageSlot& c) {
+    if (!c.charged()) return;
+    std::printf("  %-24s %8.4f s\n", core::StageName(s), c.seconds());
+  });
   return 0;
 }

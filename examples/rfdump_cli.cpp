@@ -10,7 +10,7 @@
 //   example_rfdump_cli -r trace.iq --arch naive        # naive baseline
 //   example_rfdump_cli -r trace.iq --no-demod          # detection only
 //   example_rfdump_cli -r trace.iq --detectors timing  # timing|phase|both
-//   example_rfdump_cli -r trace.iq --stats             # per-stage CPU costs
+//   example_rfdump_cli -r trace.iq --stats             # per-stage wall time
 //   example_rfdump_cli -r trace.iq --protocols wifi,ble  # bundle selection
 
 #include <algorithm>
@@ -69,7 +69,7 @@ void PrintUsage(const char* argv0) {
       "                     0 = one per hardware thread). Results are\n"
       "                     identical at every width; only wall time moves\n"
       "  --collisions       enable collision detection\n"
-      "  --stats            print per-stage CPU costs\n"
+      "  --stats            print per-stage wall time\n"
       "  --waterfall        print an ASCII spectrogram of the band\n"
       "  --pcap FILE        export decoded 802.11 frames as pcap\n"
       "  --noise-floor P    noise floor power (default 1.0)\n"
@@ -253,11 +253,12 @@ void PrintReport(const core::MonitorReport& report, bool stats) {
               "CPU/real time %.3f\n",
               wifi, bt, report.detections.size(), report.CpuOverRealTime());
   if (stats) {
-    std::printf("\nper-stage costs:\n");
-    for (const auto& c : report.costs) {
-      std::printf("  %-24s %9.4f s  (%llu samples)\n", c.name.c_str(),
-                  c.cpu_seconds, static_cast<unsigned long long>(c.samples_in));
-    }
+    std::printf("\nper-stage wall time:\n");
+    report.costs.ForEach([](core::Stage s, const core::StageSlot& c) {
+      if (!c.charged()) return;
+      std::printf("  %-24s %9.4f s  (%llu samples)\n", core::StageName(s),
+                  c.seconds(), static_cast<unsigned long long>(c.samples));
+    });
   }
 }
 

@@ -58,8 +58,10 @@ int main() {
     cfg.analysis.demodulate = false;
     core::RFDumpPipeline pipeline(cfg);
     const auto report = pipeline.Process(x);
-    const double detect = report.CostOf("detect/");
-    const double peak = report.CostOf("detect/peak");
+    // Detection only (demodulate = false): every charged slot is a detect
+    // stage.
+    const double detect = report.costs.Seconds();
+    const double peak = report.costs[core::Stage::kPeak].seconds();
     std::printf("%-28s %12.4f %12.4f %10zu", s.name, detect, peak,
                 report.detections.size());
     if (prev_detect > 0.0) {

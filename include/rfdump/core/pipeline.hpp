@@ -8,12 +8,11 @@
 //                               cheap protocol-specific detectors on metadata,
 //                               demodulators only on tagged sample ranges.
 //
-// Each pipeline reports what it found plus a per-stage CPU cost breakdown,
-// which is what the Table 1 / Figure 9 benches print.
+// Each pipeline reports what it found plus a per-stage cost table
+// (StageCosts), which is what the Table 1 / Figure 9 benches print.
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "rfdump/core/collision.hpp"
@@ -27,11 +26,70 @@ namespace rfdump::core {
 class Executor;    // core/executor.hpp — analysis-stage execution engine
 class ResultSink;  // core/result_sink.hpp — unified result emission
 
-/// Cost of one pipeline stage over a Process() call.
-struct StageCost {
-  std::string name;
-  double cpu_seconds = 0.0;
-  std::uint64_t samples_in = 0;
+/// Slot of the per-stage cost table: the detect stages, then one analysis
+/// slot per protocol id (AnalysisStage()).
+enum class Stage : std::uint8_t {
+  kHealth, kPeak, kEnergy, kTiming, kPhase, kFreq, kCollision,
+  kAnalysis,  // first analysis slot (Protocol::kUnknown)
+};
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kAnalysis) + kProtocolCount;
+
+/// Analysis slot of one protocol.
+[[nodiscard]] constexpr Stage AnalysisStage(Protocol p) {
+  return static_cast<Stage>(static_cast<std::size_t>(Stage::kAnalysis) +
+                            static_cast<std::size_t>(p));
+}
+
+/// Metric label and trace span name of a stage: "detect/peak", ...,
+/// "analysis/" + the bundle's cli_name (e.g. "analysis/bt").
+[[nodiscard]] const char* StageName(Stage s);
+
+/// Steady-clock wall time and input samples charged to one stage.
+struct StageSlot {
+  std::uint64_t wall_ns = 0;
+  std::uint64_t samples = 0;
+
+  StageSlot& operator+=(const StageSlot& o) {
+    wall_ns += o.wall_ns;
+    samples += o.samples;
+    return *this;
+  }
+  [[nodiscard]] double seconds() const {
+    return static_cast<double>(wall_ns) * 1e-9;
+  }
+  /// True once any scope charged this stage.
+  [[nodiscard]] bool charged() const { return wall_ns != 0 || samples != 0; }
+};
+
+/// Per-stage cost table (the paper's Table 1 / Fig 9 evidence): one fixed
+/// slot per Stage, merged element-wise, so accumulating it never allocates.
+class StageCosts {
+ public:
+  StageSlot& operator[](Stage s) { return slots_[static_cast<std::size_t>(s)]; }
+  const StageSlot& operator[](Stage s) const {
+    return slots_[static_cast<std::size_t>(s)];
+  }
+  StageCosts& operator+=(const StageCosts& o) {
+    for (std::size_t i = 0; i < kStageCount; ++i) slots_[i] += o.slots_[i];
+    return *this;
+  }
+  /// Summed wall time of every slot.
+  [[nodiscard]] double Seconds() const {
+    std::uint64_t ns = 0;
+    for (const StageSlot& s : slots_) ns += s.wall_ns;
+    return static_cast<double>(ns) * 1e-9;
+  }
+  /// Calls fn(stage, slot) for every slot in table order.
+  template <typename F>
+  void ForEach(F&& fn) const {
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      fn(static_cast<Stage>(i), slots_[i]);
+    }
+  }
+
+ private:
+  std::array<StageSlot, kStageCount> slots_{};
 };
 
 /// Front-end / processing health for one block of stream. Produced once per
@@ -74,15 +132,12 @@ struct MonitorReport {
   /// Every decode, grouped by protocol id in registry order and sorted by
   /// start sample within a protocol.
   std::vector<ProtocolEvent> events;
-  std::vector<StageCost> costs;
+  StageCosts costs;
   std::vector<HealthReport> health;    // input-quality scan(s), see above
   std::uint64_t samples_total = 0;
 
-  /// Sum of all stage costs in CPU seconds.
-  [[nodiscard]] double TotalCpuSeconds() const;
-  /// Sum of stages whose name starts with `prefix`.
-  [[nodiscard]] double CostOf(const std::string& prefix) const;
-  /// CPU time / real time of the capture (the paper's efficiency metric).
+  /// Summed stage time / real time of the capture (the paper's efficiency
+  /// metric, Fig 9).
   [[nodiscard]] double CpuOverRealTime() const;
 };
 

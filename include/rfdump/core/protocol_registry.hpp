@@ -72,15 +72,13 @@ struct DetectorSetup {
 
 /// Detector hooks for one protocol, created fresh per Detect() call (the
 /// underlying detectors are stateful across chunks within one call). Any
-/// hook may be empty. Stage names feed Supervisor::Contain fault isolation.
+/// hook may be empty.
 struct ProtocolDetectors {
   /// Batch hook over freshly completed peaks (timing-feature detectors).
   std::function<std::vector<Detection>(std::span<const Peak>)> on_peaks;
-  const char* peaks_stage = "detect/timing";
   /// Per-peak hook over the peak's clamped sample range (phase detectors).
   std::function<std::optional<Detection>(const Peak&, dsp::const_sample_span)>
       on_peak;
-  const char* peak_stage = "detect/phase";
   /// Per-chunk hook (frequency-domain detectors) plus end-of-capture flush.
   std::function<std::vector<Detection>(dsp::const_sample_span, std::int64_t)>
       on_chunk;
@@ -96,8 +94,6 @@ struct AnalysisPlan {
   /// Stop launching units once the interval's work budget has expired
   /// (multi-channel scans charge the shared budget per channel).
   bool check_budget = false;
-  /// Cost-ledger / trace stage name, e.g. "analysis/bt-demod".
-  const char* stage = nullptr;
 };
 
 /// Inputs to one analysis unit. `span` is the dispatched interval rebased to

@@ -175,9 +175,9 @@ class StreamingMonitor {
   void Flush();
 
   /// Aggregate stage costs across all processed blocks.
-  const std::vector<StageCost>& costs() const { return costs_; }
+  const StageCosts& costs() const { return costs_; }
   std::uint64_t samples_processed() const { return samples_processed_; }
-  /// CPU/real-time ratio so far.
+  /// Summed stage time / real time so far.
   [[nodiscard]] double CpuOverRealTime() const;
 
   /// One record per detected stream discontinuity.
@@ -265,7 +265,7 @@ class StreamingMonitor {
   std::int64_t emitted_until_ = 0;     // results before this are already out
   std::int64_t expected_next_ = -1;    // next expected timestamp (-1: unset)
   std::uint64_t samples_processed_ = 0;
-  std::vector<StageCost> costs_;
+  StageCosts costs_;
   std::vector<Gap> gaps_;
   std::deque<HealthReport> health_;
   HealthSummary summary_;

@@ -163,14 +163,12 @@ class Supervisor {
   /// a throwing detector loses its tags for this chunk, nothing else.
   /// Returns false if `fn` threw.
   template <typename F>
-  bool Contain(const char* stage, F&& fn) {
+  bool Contain(F&& fn) {
     try {
       fn();
       return true;
-    } catch (const std::exception& e) {
-      NoteDetectorThrow(stage, e.what());
     } catch (...) {
-      NoteDetectorThrow(stage, "non-std exception");
+      NoteDetectorThrow();
     }
     return false;
   }
@@ -204,7 +202,7 @@ class Supervisor {
     bool probe_in_flight = false;
   };
 
-  void NoteDetectorThrow(const char* stage, const char* what);
+  void NoteDetectorThrow();
   void RecordFailure(Protocol p, Outcome outcome, std::int64_t start,
                      std::int64_t end, dsp::const_sample_span interval,
                      std::string error);

@@ -8,8 +8,9 @@
 // the work they perform (in front-end-sample units, counting reprocessing)
 // at coarse quanta and bail out as soon as the budget reports expiry.
 //
-// Lives in util (bottom layer, stdlib-only) so phy80211/phybt can depend on
-// it without reaching up into core, where the Supervisor that arms it lives.
+// Lives in util (bottom layer: stdlib plus the header-only obs::Stopwatch,
+// the repo's one clock) so phy80211/phybt can depend on it without reaching
+// up into core, where the Supervisor that arms it lives.
 //
 // Concurrency contract (TSan-enforced by tests/supervisor_test.cpp): any
 // number of worker threads may call Charge()/expired() on one armed budget
@@ -19,8 +20,9 @@
 // a racing control channel).
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+
+#include "rfdump/obs/stopwatch.hpp"
 
 namespace rfdump::util {
 
@@ -43,9 +45,10 @@ class WorkBudget {
   /// Resets accounting and applies `limits` from now. Must not race Charge().
   void Arm(const Limits& limits) {
     max_samples_.store(limits.max_samples, std::memory_order_relaxed);
-    deadline_.store(
-        limits.max_cpu_seconds > 0.0 ? Now() + limits.max_cpu_seconds : 0.0,
-        std::memory_order_relaxed);
+    deadline_.store(limits.max_cpu_seconds > 0.0
+                        ? obs::Stopwatch::NowSeconds() + limits.max_cpu_seconds
+                        : 0.0,
+                    std::memory_order_relaxed);
     charged_.store(0, std::memory_order_relaxed);
     checks_.store(0, std::memory_order_relaxed);
     expired_.store(false, std::memory_order_relaxed);
@@ -65,7 +68,7 @@ class WorkBudget {
       return false;
     }
     const double deadline = deadline_.load(std::memory_order_relaxed);
-    if (deadline != 0.0 && Now() > deadline) {
+    if (deadline != 0.0 && obs::Stopwatch::NowSeconds() > deadline) {
       expired_.store(true, std::memory_order_relaxed);
       return false;
     }
@@ -88,12 +91,6 @@ class WorkBudget {
   }
 
  private:
-  [[nodiscard]] static double Now() noexcept {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
   std::atomic<std::uint64_t> max_samples_{0};
   std::atomic<double> deadline_{0.0};  // absolute, 0 = no CPU cap
   std::atomic<std::uint64_t> charged_{0};

@@ -35,7 +35,6 @@ ProtocolBundle MakeMicrowaveBundle() {
     d.on_peaks = [timing](std::span<const Peak> fresh) {
       return timing->OnPeaks(fresh);
     };
-    d.peaks_stage = "detect/timing-microwave";
     return d;
   };
   // No analysis_plan: microwave intervals are detection-only.

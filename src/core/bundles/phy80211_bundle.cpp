@@ -139,23 +139,18 @@ ProtocolBundle MakeWifiBundle() {
       d.on_peaks = [timing](std::span<const Peak> fresh) {
         return timing->OnPeaks(fresh);
       };
-      d.peaks_stage = "detect/timing-wifi";
     }
     if (setup.phase_detectors) {
       auto phase = std::make_shared<DbpskPhaseDetector>();
       d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
         return phase->OnPeak(p, span);
       };
-      d.peak_stage = "detect/phase-dbpsk";
     }
     return d;
   };
 
   b.analysis_plan = [](const AnalysisConfig&) {
-    AnalysisPlan p;
-    p.units = 1;
-    p.stage = "analysis/80211-demod";
-    return p;
+    return AnalysisPlan{.units = 1};
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int) -> AnalysisCommit {
     phy80211::Demodulator::Config cfg;

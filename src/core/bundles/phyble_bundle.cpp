@@ -142,17 +142,13 @@ ProtocolBundle MakeBleBundle() {
         tag->detector = "ble-gfsk";
         return tag;
       };
-      d.peak_stage = "detect/phase-ble";
     }
     return d;
   };
 
   b.analysis_plan = [](const AnalysisConfig&) {
-    AnalysisPlan p;
-    p.units = 3;  // one per advertising channel
-    p.check_budget = true;
-    p.stage = "analysis/ble-adv-demod";
-    return p;
+    // One unit per advertising channel.
+    return AnalysisPlan{.units = 3, .check_budget = true};
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int unit) -> AnalysisCommit {
     phyble::AdvDemodulator::Config cfg;

@@ -165,14 +165,12 @@ ProtocolBundle MakeBtBundle() {
       d.on_peaks = [timing](std::span<const Peak> fresh) {
         return timing->OnPeaks(fresh);
       };
-      d.peaks_stage = "detect/timing-bt";
     }
     if (setup.phase_detectors) {
       auto phase = std::make_shared<GfskPhaseDetector>();
       d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
         return phase->OnPeak(p, span);
       };
-      d.peak_stage = "detect/phase-gfsk";
     }
     if (setup.freq_detector) {
       BluetoothFreqDetector::Config fc;
@@ -187,14 +185,11 @@ ProtocolBundle MakeBtBundle() {
   };
 
   b.analysis_plan = [](const AnalysisConfig& a) {
-    AnalysisPlan p;
     // One unit per configured demodulator channel. Bluetooth always opens a
     // supervision boundary, even with zero channels configured, and the
     // multi-channel scan stops early once the interval's budget expires.
-    p.units = std::max(a.bt_demods, 0);
-    p.check_budget = true;
-    p.stage = "analysis/bt-demod";
-    return p;
+    return AnalysisPlan{.units = std::max(a.bt_demods, 0),
+                        .check_budget = true};
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int unit) -> AnalysisCommit {
     phybt::Demodulator::Config cfg;

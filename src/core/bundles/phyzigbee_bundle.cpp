@@ -100,15 +100,11 @@ ProtocolBundle MakeZigbeeBundle() {
     d.on_peaks = [timing](std::span<const Peak> fresh) {
       return timing->OnPeaks(fresh);
     };
-    d.peaks_stage = "detect/timing-zigbee";
     return d;
   };
 
   b.analysis_plan = [](const AnalysisConfig&) {
-    AnalysisPlan p;
-    p.units = 1;
-    p.stage = "analysis/zigbee-demod";
-    return p;
+    return AnalysisPlan{.units = 1};
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int) -> AnalysisCommit {
     static obs::Counter& c_attempts = obs::Registry::Default().GetCounter(

@@ -22,14 +22,6 @@ struct ExecutorMetrics {
   obs::Histogram& task_wait = obs::Registry::Default().GetHistogram(
       "rfdump_executor_task_wait_seconds",
       {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0});
-  /// Task run time: the granularity knob for the ordered merge.
-  obs::Histogram& task_run = obs::Registry::Default().GetHistogram(
-      "rfdump_executor_task_run_seconds",
-      {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0});
-  /// Per-batch worker utilization: busy CPU over (width x batch wall).
-  obs::Histogram& utilization = obs::Registry::Default().GetHistogram(
-      "rfdump_executor_batch_utilization",
-      {0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
   static ExecutorMetrics& Get() {
     static ExecutorMetrics m;
     return m;
@@ -41,10 +33,7 @@ struct ExecutorMetrics {
 struct Executor::Batch::State {
   std::mutex mu;
   std::condition_variable cv;
-  std::size_t pending = 0;          // tasks submitted but not finished
-  std::uint64_t tasks = 0;          // total submitted
-  double busy_seconds = 0.0;        // sum of task run times
-  double started_at = 0.0;          // first submission timestamp
+  std::size_t pending = 0;  // tasks submitted but not finished
   std::exception_ptr first_error;
 };
 
@@ -118,25 +107,18 @@ bool Executor::TryPop(std::size_t preferred, Task& out) {
 
 void Executor::RunTask(Task& task) {
   auto& metrics = ExecutorMetrics::Get();
-  const double started = obs::Stopwatch::NowSeconds();
-  metrics.task_wait.Observe(started - task.enqueued_at);
-  {
-    RFDUMP_TRACE_SPAN("executor/task");
-    try {
-      task.fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(task.batch->mu);
-      if (!task.batch->first_error) {
-        task.batch->first_error = std::current_exception();
-      }
+  metrics.task_wait.Observe(obs::Stopwatch::NowSeconds() - task.enqueued_at);
+  try {
+    task.fn();
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(task.batch->mu);
+    if (!task.batch->first_error) {
+      task.batch->first_error = std::current_exception();
     }
   }
-  const double dur = obs::Stopwatch::NowSeconds() - started;
-  metrics.task_run.Observe(dur);
   metrics.tasks.Inc();
   {
     std::lock_guard<std::mutex> lock(task.batch->mu);
-    task.batch->busy_seconds += dur;
     if (--task.batch->pending == 0) task.batch->cv.notify_all();
   }
 }
@@ -190,14 +172,11 @@ void Executor::Batch::Run(std::function<void()> fn) {
     }
     return;
   }
-  const double now = obs::Stopwatch::NowSeconds();
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     ++state_->pending;
-    ++state_->tasks;
-    if (state_->started_at == 0.0) state_->started_at = now;
   }
-  ex_->Enqueue(Task{std::move(fn), state_, now});
+  ex_->Enqueue(Task{std::move(fn), state_, obs::Stopwatch::NowSeconds()});
 }
 
 void Executor::Batch::Wait() {
@@ -228,15 +207,6 @@ void Executor::Batch::Wait() {
     // timeout re-opens the helping loop for late-queued sibling tasks.
     state_->cv.wait_for(lock, std::chrono::milliseconds(2),
                         [&] { return state_->pending == 0; });
-  }
-  if (state_->tasks > 0 && state_->started_at > 0.0) {
-    const double wall = obs::Stopwatch::NowSeconds() - state_->started_at;
-    if (wall > 0.0) {
-      const double util = std::clamp(
-          state_->busy_seconds / (static_cast<double>(ex_->threads()) * wall),
-          0.0, 1.0);
-      ExecutorMetrics::Get().utilization.Observe(util);
-    }
   }
   std::exception_ptr e;
   {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <exception>
 #include <limits>
+#include <string>
 
 #include "rfdump/core/collision.hpp"
 #include "rfdump/core/executor.hpp"
@@ -18,69 +19,51 @@
 namespace rfdump::core {
 namespace {
 
-/// Accumulates stage costs by name. Timing comes from the shared
-/// obs::Stopwatch (the same monotonic clock the shed controller and the
-/// benches read), and every ledgered stage doubles as a trace span.
-class CostLedger {
+/// Charges the enclosing scope to one stage slot: `samples` up front, the
+/// wall time of one obs::Stopwatch pair (the clock the shed controller and
+/// the benches read) on exit. The scope doubles as the stage's trace span.
+class StageScope {
  public:
-  class Scope {
-   public:
-    Scope(CostLedger& ledger, const char* name, std::uint64_t samples)
-        : ledger_(ledger), name_(name), samples_(samples), span_(name) {}
-    ~Scope() { ledger_.Add(name_, watch_.Seconds(), samples_); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    CostLedger& ledger_;
-    const char* name_;
-    std::uint64_t samples_;
-    obs::TraceSpan span_;
-    obs::Stopwatch watch_;
-  };
-
-  void Add(const std::string& name, double secs, std::uint64_t samples) {
-    auto& entry = entries_[name];
-    entry.first += secs;
-    entry.second += samples;
+  StageScope(StageSlot& slot, Stage stage, std::uint64_t samples)
+      : slot_(slot), span_(StageName(stage)) {
+    slot_.samples += samples;
   }
-
-  [[nodiscard]] std::vector<StageCost> Costs() const {
-    std::vector<StageCost> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, v] : entries_) {
-      out.push_back({name, v.first, v.second});
-    }
-    return out;
-  }
+  StageScope(StageCosts& costs, Stage stage, std::uint64_t samples)
+      : StageScope(costs[stage], stage, samples) {}
+  ~StageScope() { slot_.wall_ns += watch_.Nanoseconds(); }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
 
  private:
-  std::map<std::string, std::pair<double, std::uint64_t>> entries_;
+  StageSlot& slot_;
+  obs::TraceSpan span_;
+  obs::Stopwatch watch_;
 };
 
 std::int64_t UsToSamples(double us) {
   return static_cast<std::int64_t>(us * 1e-6 * dsp::kSampleRateHz + 0.5);
 }
 
-/// One registry counter per protocol under a common family name, resolved
-/// once (construct as a function-local static) so the per-detection cost is
-/// a single relaxed atomic increment.
-class PerProtocolCounter {
+/// One registry counter per Key value (a dense enum) under a common family
+/// name and label, resolved once (construct as a function-local static) so
+/// each update is a single relaxed atomic increment.
+template <typename Key, std::size_t N>
+class CounterTable {
  public:
-  explicit PerProtocolCounter(const char* family) {
-    for (std::size_t id = 0; id < kProtocolCount; ++id) {
-      const auto p = static_cast<Protocol>(id);
-      counters_[id] = &obs::Registry::Default().GetCounter(
-          std::string(family) + "{protocol=\"" + ProtocolName(p) + "\"}");
+  CounterTable(const char* family, const char* label,
+               const char* (*name_of)(Key)) {
+    for (std::size_t i = 0; i < N; ++i) {
+      counters_[i] =
+          &obs::LabeledCounter(family, label, name_of(static_cast<Key>(i)));
     }
   }
-  obs::Counter& of(Protocol p) {
-    return *counters_[static_cast<std::size_t>(p)];
-  }
+  obs::Counter& of(Key k) { return *counters_[static_cast<std::size_t>(k)]; }
 
  private:
-  std::array<obs::Counter*, kProtocolCount> counters_{};
+  std::array<obs::Counter*, N> counters_{};
 };
+using PerProtocolCounter = CounterTable<Protocol, kProtocolCount>;
+using PerStageCounter = CounterTable<Stage, kStageCount>;
 
 // Deduplicates events found by more than one pass over overlapping
 // intervals: per protocol and channel, decodes starting within 16 samples of
@@ -120,21 +103,18 @@ void DedupAnalysisResults(MonitorReport& report) {
 void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
                  Supervisor* sup, Executor* ex,
                  const std::vector<Detection>& intervals,
-                 dsp::const_sample_span x, CostLedger& ledger,
-                 MonitorReport& report) {
+                 dsp::const_sample_span x, MonitorReport& report) {
   if (!analysis.demodulate) return;
   // One result slot per task. Slots are written by exactly one worker each
   // and only read after Batch::Wait(), so they need no locking.
   struct UnitOut {
-    const char* stage = nullptr;
-    std::uint64_t samples = 0;
-    double cpu = 0.0;
-    bool ran = false;  // false: skipped on an already-expired budget
+    StageSlot cost;  // stays zero when skipped on an expired budget
     AnalysisCommit commit;  // deferred result application, run at merge
     std::exception_ptr error;
     std::string error_text;
   };
   struct IntervalJob {
+    Stage stage = Stage::kAnalysis;
     dsp::const_sample_span span;
     std::shared_ptr<Supervisor::Admission> admission;  // null without sup
     bool run_units = true;
@@ -162,6 +142,7 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
 
     jobs.emplace_back();
     IntervalJob& job = jobs.back();
+    job.stage = AnalysisStage(d.protocol);
     job.span = x.subspan(
         static_cast<std::size_t>(d.start_sample),
         static_cast<std::size_t>(d.end_sample - d.start_sample));
@@ -176,19 +157,16 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
         job.admission ? &job.admission->budget : &unlimited;
     const std::int64_t start = d.start_sample;
     const auto span = job.span;
+    const Stage stage = job.stage;
 
     for (int unit = 0; unit < plan.units; ++unit) {
       UnitOut* out = &job.units[static_cast<std::size_t>(unit)];
-      batch.Run([out, bundle, plan, budget, span, start, unit,
+      batch.Run([out, bundle, plan, budget, span, start, unit, stage,
                  noise_floor_power, &analysis] {
         if (plan.check_budget && budget->expired()) {
           return;  // all units of an interval share its budget
         }
-        out->ran = true;
-        out->stage = plan.stage;
-        out->samples = span.size();
-        obs::Stopwatch w;
-        obs::TraceSpan trace(plan.stage);
+        StageScope scope(out->cost, stage, span.size());
         try {
           AnalysisUnitContext ctx;
           ctx.span = span;
@@ -204,7 +182,6 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
           out->error = std::current_exception();
           out->error_text = "non-std exception";
         }
-        out->cpu = w.Seconds();
       });
     }
   }
@@ -218,7 +195,7 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
     std::exception_ptr first_error;
     std::string error_text;
     for (UnitOut& u : job.units) {
-      if (u.ran) ledger.Add(u.stage, u.cpu, u.samples);
+      report.costs[job.stage] += u.cost;
       if (u.error && !first_error) {
         first_error = u.error;
         error_text = u.error_text;
@@ -269,25 +246,28 @@ std::vector<ActiveDetectors> MakeActiveDetectors(std::uint32_t bundle_mask,
 
 }  // namespace
 
-double MonitorReport::TotalCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& c : costs) total += c.cpu_seconds;
-  return total;
-}
-
-double MonitorReport::CostOf(const std::string& prefix) const {
-  double total = 0.0;
-  for (const auto& c : costs) {
-    if (c.name.rfind(prefix, 0) == 0) total += c.cpu_seconds;
-  }
-  return total;
+const char* StageName(Stage s) {
+  // Built once; span names must outlive the tracer.
+  static const auto kNames = [] {
+    std::array<std::string, kStageCount> names = {
+        "detect/health", "detect/peak", "detect/energy",   "detect/timing",
+        "detect/phase",  "detect/freq", "detect/collision"};
+    for (std::size_t id = 0; id < kProtocolCount; ++id) {
+      const auto p = static_cast<Protocol>(id);
+      const ProtocolBundle* b = ProtocolRegistry::Instance().Find(p);
+      names[static_cast<std::size_t>(AnalysisStage(p))] =
+          std::string("analysis/") + (b ? b->cli_name : "unknown");
+    }
+    return names;
+  }();
+  return kNames[static_cast<std::size_t>(s)].c_str();
 }
 
 double MonitorReport::CpuOverRealTime() const {
   if (samples_total == 0) return 0.0;
   const double real_seconds =
       static_cast<double>(samples_total) / dsp::kSampleRateHz;
-  return TotalCpuSeconds() / real_seconds;
+  return costs.Seconds() / real_seconds;
 }
 
 // ------------------------------------------------------------------- RFDump
@@ -296,13 +276,16 @@ MonitorReport AnalyzeDetections(DetectOutput det, dsp::const_sample_span x,
                                 Executor* executor, ResultSink* sink) {
   RFDUMP_TRACE_SPAN("pipeline/analyze");
   MonitorReport report = std::move(det.report);
-  CostLedger ledger;
-  for (const auto& c : report.costs) {
-    ledger.Add(c.name, c.cpu_seconds, c.samples_in);
-  }
   RunAnalysis(det.analysis, det.noise_floor_power, det.supervisor, executor,
-              report.dispatched, x, ledger, report);
-  report.costs = ledger.Costs();
+              report.dispatched, x, report);
+  static PerStageCounter c_wall("rfdump_stage_wall_nanoseconds_total", "stage",
+                                StageName);
+  static PerStageCounter c_samples("rfdump_stage_samples_total", "stage",
+                                   StageName);
+  report.costs.ForEach([](Stage s, const StageSlot& slot) {
+    c_wall.of(s).Inc(slot.wall_ns);
+    c_samples.of(s).Inc(slot.samples);
+  });
   if (sink != nullptr) {
     for (const auto& h : report.health) sink->OnHealth(h);
     for (const auto& d : report.detections) sink->OnDetection(d);
@@ -331,13 +314,13 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
 
   MonitorReport report;
   report.samples_total = x.size();
-  CostLedger ledger;
+  StageCosts& costs = report.costs;
 
   // Stage 0: input health scan — a real front-end delivers saturated and
   // occasionally corrupt (non-finite) samples; account for them up front so
   // downstream results can be interpreted.
   if (config_.health_scan) {
-    CostLedger::Scope scope(ledger, "detect/health", x.size());
+    StageScope scope(costs, Stage::kHealth, x.size());
     HealthReport h;
     h.block_samples = x.size();
     // rail = +inf disables the saturation count (|v| >= +inf only holds for
@@ -383,9 +366,9 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // this batch of peaks, everything else proceeds); without one, exceptions
   // propagate as before.
   Supervisor* const sup = config_.supervisor;
-  const auto contain = [sup](const char* stage, auto&& fn) {
+  const auto contain = [sup](auto&& fn) {
     if (sup) {
-      sup->Contain(stage, fn);
+      sup->Contain(fn);
     } else {
       fn();
     }
@@ -395,8 +378,8 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     if (fresh.empty()) return;
     for (auto& a : active) {
       if (!a.hooks.on_peaks) continue;
-      CostLedger::Scope scope(ledger, "detect/timing", 0);
-      contain(a.hooks.peaks_stage, [&] {
+      StageScope scope(costs, Stage::kTiming, 0);
+      contain([&] {
         auto d = a.hooks.on_peaks(fresh);
         detections.insert(detections.end(), d.begin(), d.end());
       });
@@ -410,8 +393,8 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
             std::clamp<std::int64_t>(p.end_sample, 0,
                                      static_cast<std::int64_t>(x.size())));
         if (e <= s) continue;
-        CostLedger::Scope scope(ledger, "detect/collision", e - s);
-        contain("detect/collision", [&] {
+        StageScope scope(costs, Stage::kCollision, e - s);
+        contain([&] {
           auto d = collision.OnPeak(p, x.subspan(s, e - s));
           detections.insert(detections.end(), d.begin(), d.end());
         });
@@ -427,10 +410,10 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
                                      static_cast<std::int64_t>(x.size())));
         if (e <= s) continue;
         const auto span = x.subspan(s, e - s);
-        CostLedger::Scope scope(ledger, "detect/phase", span.size());
+        StageScope scope(costs, Stage::kPhase, span.size());
         for (auto& a : active) {
           if (!a.hooks.on_peak) continue;
-          contain(a.hooks.peak_stage, [&] {
+          contain([&] {
             if (auto d = a.hooks.on_peak(p, span)) detections.push_back(*d);
           });
         }
@@ -440,23 +423,27 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
 
   // Deinterleave |x|^2 once for the whole block (SoA power plane); the peak
   // detector's per-sample stage reads the plane instead of touching I/Q.
+  // Charged to detect/peak with 0 samples: the chunks below count them.
   struct DetectPlaneTag {};
   auto& plane = util::Scratch<float, DetectPlaneTag>();
-  plane.resize(x.size());
-  dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
+  {
+    StageScope scope(costs, Stage::kPeak, 0);
+    plane.resize(x.size());
+    dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
+  }
 
   for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
     const std::size_t n = std::min(kChunkSamples, x.size() - at);
     const auto chunk = x.subspan(at, n);
     {
-      CostLedger::Scope scope(ledger, "detect/peak", n);
+      StageScope scope(costs, Stage::kPeak, n);
       peaks.PushChunk(chunk,
                       std::span<const float>(plane).subspan(at, n),
                       static_cast<std::int64_t>(at));
     }
     for (auto& a : active) {
       if (!a.hooks.on_chunk) continue;
-      CostLedger::Scope scope(ledger, "detect/freq", n);
+      StageScope scope(costs, Stage::kFreq, n);
       auto d = a.hooks.on_chunk(chunk, static_cast<std::int64_t>(at));
       detections.insert(detections.end(), d.begin(), d.end());
     }
@@ -465,12 +452,13 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     handle_peaks(fresh);
   }
   {
-    CostLedger::Scope scope(ledger, "detect/peak", 0);
+    StageScope scope(costs, Stage::kPeak, 0);
     peaks.Flush();
   }
   handle_peaks(peaks.CompletedSince(peak_cursor));
   for (auto& a : active) {
     if (!a.hooks.chunk_flush) continue;
+    StageScope scope(costs, Stage::kFreq, 0);
     auto d = a.hooks.chunk_flush();
     detections.insert(detections.end(), d.begin(), d.end());
   }
@@ -482,9 +470,12 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // confidence floor) so an operator can see what load shedding discards.
   static obs::Counter& c_detections = obs::Registry::Default().GetCounter(
       "rfdump_detect_detections_total");
-  static PerProtocolCounter c_tagged("rfdump_dispatch_tagged_total");
-  static PerProtocolCounter c_rejected("rfdump_dispatch_rejected_total");
-  static PerProtocolCounter c_forwarded("rfdump_dispatch_forwarded_total");
+  static PerProtocolCounter c_tagged("rfdump_dispatch_tagged_total",
+                                     "protocol", ProtocolName);
+  static PerProtocolCounter c_rejected("rfdump_dispatch_rejected_total",
+                                       "protocol", ProtocolName);
+  static PerProtocolCounter c_forwarded("rfdump_dispatch_forwarded_total",
+                                        "protocol", ProtocolName);
   c_detections.Inc(detections.size());
   std::uint64_t tagged_n = 0, rejected_n = 0;
   const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
@@ -513,7 +504,6 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     report.health.back().forwarded_intervals = report.dispatched.size();
   }
   DetectOutput out;
-  report.costs = ledger.Costs();
   out.report = std::move(report);
   out.analysis = config_.analysis;
   out.noise_floor_power = config_.noise_floor_power;
@@ -535,7 +525,6 @@ MonitorReport NaivePipeline::Process(dsp::const_sample_span x) {
 DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
   MonitorReport report;
   report.samples_total = x.size();
-  CostLedger ledger;
 
   // The naive monitor hosts every mask-enabled naive_member bundle, in
   // protocol-id order (historically: 802.11 then Bluetooth).
@@ -555,17 +544,20 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
     PeakDetector peaks(pd_cfg);
     struct NaivePlaneTag {};
     auto& plane = util::Scratch<float, NaivePlaneTag>();
-    plane.resize(x.size());
-    dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
+    {
+      StageScope scope(report.costs, Stage::kEnergy, 0);
+      plane.resize(x.size());
+      dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
+    }
     for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
       const std::size_t n = std::min(kChunkSamples, x.size() - at);
-      CostLedger::Scope scope(ledger, "detect/energy", n);
+      StageScope scope(report.costs, Stage::kEnergy, n);
       peaks.PushChunk(x.subspan(at, n),
                       std::span<const float>(plane).subspan(at, n),
                       static_cast<std::int64_t>(at));
     }
     {
-      CostLedger::Scope scope(ledger, "detect/energy", 0);
+      StageScope scope(report.costs, Stage::kEnergy, 0);
       peaks.Flush();
     }
     const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
@@ -587,7 +579,6 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
   }
   report.dispatched = std::move(intervals);
   DetectOutput out;
-  report.costs = ledger.Costs();
   out.report = std::move(report);
   out.analysis = config_.analysis;
   out.noise_floor_power = config_.noise_floor_power;

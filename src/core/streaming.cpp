@@ -203,9 +203,7 @@ void StreamingMonitor::Flush() {
 
 double StreamingMonitor::CpuOverRealTime() const {
   if (samples_processed_ == 0) return 0.0;
-  double cpu = 0.0;
-  for (const auto& c : costs_) cpu += c.cpu_seconds;
-  return cpu /
+  return costs_.Seconds() /
          (static_cast<double>(samples_processed_) / dsp::kSampleRateHz);
 }
 
@@ -478,16 +476,7 @@ void StreamingMonitor::AnalyzeBlock(BlockJob& job, dsp::const_sample_span x) {
   const std::uint64_t d_trips = now.breaker_trips - last_counts_.breaker_trips;
   last_counts_ = now;
 
-  for (const auto& c : report.costs) {
-    auto it = std::find_if(costs_.begin(), costs_.end(),
-                           [&](const StageCost& s) { return s.name == c.name; });
-    if (it == costs_.end()) {
-      costs_.push_back(c);
-    } else {
-      it->cpu_seconds += c.cpu_seconds;
-      it->samples_in += c.samples_in;
-    }
-  }
+  costs_ += report.costs;
 
   HealthReport h;
   if (!report.health.empty()) h = report.health.front();

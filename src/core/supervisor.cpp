@@ -225,9 +225,7 @@ void Supervisor::RecordFailure(Protocol p, Outcome outcome, std::int64_t start,
   }
 }
 
-void Supervisor::NoteDetectorThrow(const char* stage, const char* what) {
-  (void)stage;
-  (void)what;
+void Supervisor::NoteDetectorThrow() {
   SupervisorMetrics::Get().detector_exceptions.Inc();
   std::lock_guard<std::mutex> lock(mu_);
   ++counts_.detector_exceptions;

@@ -279,7 +279,6 @@ std::optional<DecodedFrame> Demodulator::DecodeFirst(dsp::const_sample_span x) {
 }
 
 std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("phy80211/decode");
   static obs::Counter& c_samples = obs::Registry::Default().GetCounter(
       "rfdump_phy80211_samples_total");
   static obs::Counter& c_attempts = obs::Registry::Default().GetCounter(

@@ -153,7 +153,6 @@ AdvDemodulator::AdvDemodulator() : AdvDemodulator(Config{}) {}
 AdvDemodulator::AdvDemodulator(Config config) : config_(config) {}
 
 std::vector<DecodedAdv> AdvDemodulator::DecodeAll(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("phyble/decode");
   std::vector<DecodedAdv> out;
   if (x.size() < kSyncBits * kSps) return out;
   if (AdvChannelOffsetHz(config_.channel)) {

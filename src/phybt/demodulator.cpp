@@ -30,7 +30,6 @@ Demodulator::Demodulator() : Demodulator(Config{}) {}
 Demodulator::Demodulator(Config config) : config_(config) {}
 
 std::vector<DecodedBtPacket> Demodulator::DecodeAll(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("phybt/decode");
   std::vector<DecodedBtPacket> out;
   if (x.size() < kAccessBits * kSps) return out;
   if (config_.channel_index >= 0) {

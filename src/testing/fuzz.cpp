@@ -1,7 +1,6 @@
 #include "rfdump/testing/fuzz.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/net/messages.hpp"
 #include "rfdump/net/wire.hpp"
+#include "rfdump/obs/stopwatch.hpp"
 
 namespace fs = std::filesystem;
 
@@ -380,7 +380,7 @@ void CorpusRunner::RunOne(const FuzzTargetRef& ref,
     result.findings.push_back(std::move(f));
   };
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const obs::Stopwatch watch;
   try {
     result.decodes +=
         static_cast<std::size_t>(std::max(0, ref.run(data, &budget)));
@@ -389,9 +389,7 @@ void CorpusRunner::RunOne(const FuzzTargetRef& ref,
   } catch (...) {
     record("crash", "non-std exception");
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double elapsed = watch.Seconds();
   if (budget.expired()) ++result.budget_expiries;
   if (elapsed > config_.hang_wall_seconds) {
     char buf[64];

@@ -132,11 +132,9 @@ TEST(Streaming, CostsAccumulate) {
   // the trace length by (blocks - 1) x overlap.
   EXPECT_GE(monitor.samples_processed(), scenario.samples.size());
   EXPECT_GT(monitor.CpuOverRealTime(), 0.0);
-  bool has_peak_stage = false;
-  for (const auto& c : monitor.costs()) {
-    if (c.name == "detect/peak") has_peak_stage = true;
-  }
-  EXPECT_TRUE(has_peak_stage);
+  const auto& peak = monitor.costs()[core::Stage::kPeak];
+  EXPECT_GT(peak.wall_ns, 0u);
+  EXPECT_EQ(peak.samples, monitor.samples_processed());
 }
 
 TEST(Streaming, FlushOnEmptyIsNoop) {

@@ -260,8 +260,7 @@ TEST(Integration, RFDumpCheaperThanNaive) {
   // ...but RFDump forwards far fewer samples and burns far less CPU.
   EXPECT_LT(core::CoverageSamples(rf_report.dispatched),
             core::CoverageSamples(naive_report.dispatched) / 2);
-  EXPECT_LT(rf_report.TotalCpuSeconds(),
-            naive_report.TotalCpuSeconds() / 2.0);
+  EXPECT_LT(rf_report.costs.Seconds(), naive_report.costs.Seconds() / 2.0);
 }
 
 TEST(Integration, EnergyGatedBetweenNaiveAndRFDump) {
@@ -280,8 +279,7 @@ TEST(Integration, EnergyGatedBetweenNaiveAndRFDump) {
   core::NaivePipeline naive;
   const auto naive_report = naive.Process(x);
 
-  EXPECT_LT(energy_report.TotalCpuSeconds(),
-            naive_report.TotalCpuSeconds());
+  EXPECT_LT(energy_report.costs.Seconds(), naive_report.costs.Seconds());
   EXPECT_GE(EventsOf(energy_report, core::Protocol::kWifi80211b).size(), 6u);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -54,7 +55,7 @@ dsp::SampleVec MixedEther(std::uint64_t seed) {
 }
 
 // ------------------------------------------------------------- fingerprints
-// Every result-bearing field, serialized. cpu_seconds / block_load style
+// Every result-bearing field, serialized. Stage wall time / block_load style
 // timing fields are the only report contents allowed to differ across
 // widths, so they are the only ones left out.
 
@@ -157,6 +158,65 @@ TEST(Parallel, NaivePipelineIdenticalAcrossWidths) {
     } else {
       EXPECT_EQ(fp, baseline) << "naive report diverged at width " << width;
     }
+  }
+}
+
+// Stage samples are counts, not timings, so they must be exact at every
+// width: health and peak charge every input sample once, and each analysis
+// slot charges every dispatched interval once per unit run.
+TEST(Parallel, StageSamplesExactAtEveryWidth) {
+  const auto x = MixedEther(/*seed=*/11);
+  const auto& registry = core::ProtocolRegistry::Instance();
+  std::vector<std::uint64_t> baseline;
+  for (const int width : {1, 4}) {
+    core::Executor executor(width);
+    core::RFDumpPipeline::Config cfg;
+    cfg.EnableBundle(core::Protocol::kZigbee);
+    cfg.executor = &executor;
+    const auto report = core::RFDumpPipeline(cfg).Process(x);
+    EXPECT_EQ(report.costs[core::Stage::kHealth].samples, x.size());
+    EXPECT_EQ(report.costs[core::Stage::kPeak].samples, x.size());
+
+    std::array<std::uint64_t, core::kProtocolCount> expected{};
+    for (const auto& d : report.dispatched) {
+      const auto* bundle = registry.Find(d.protocol);
+      if (bundle == nullptr || !bundle->analysis_plan) continue;
+      const int units = bundle->analysis_plan(cfg.analysis).units;
+      expected[static_cast<std::size_t>(d.protocol)] +=
+          static_cast<std::uint64_t>(d.end_sample - d.start_sample) *
+          static_cast<std::uint64_t>(std::max(units, 0));
+    }
+    EXPECT_GT(expected[static_cast<std::size_t>(core::Protocol::kBluetooth)],
+              0u);
+    for (std::size_t id = 0; id < core::kProtocolCount; ++id) {
+      const auto p = static_cast<core::Protocol>(id);
+      EXPECT_EQ(report.costs[core::AnalysisStage(p)].samples, expected[id])
+          << core::StageName(core::AnalysisStage(p)) << " at width " << width;
+    }
+
+    std::vector<std::uint64_t> samples;
+    report.costs.ForEach([&](core::Stage, const core::StageSlot& c) {
+      samples.push_back(c.samples);
+    });
+    if (width == 1) {
+      baseline = samples;
+    } else {
+      EXPECT_EQ(samples, baseline) << "stage samples moved at width " << width;
+    }
+
+    // Streaming: every processed sample (overlap re-reads included) is
+    // health-scanned exactly once.
+    core::StreamingMonitor::Config mcfg;
+    mcfg.block_samples = 400'000;
+    mcfg.overlap_samples = 160'000;
+    mcfg.threads = width;
+    core::StreamingMonitor monitor(mcfg);
+    monitor.Push(x);
+    monitor.Flush();
+    EXPECT_GT(monitor.samples_processed(), x.size());
+    EXPECT_EQ(monitor.costs()[core::Stage::kHealth].samples,
+              monitor.samples_processed())
+        << "streaming at threads=" << width;
   }
 }
 

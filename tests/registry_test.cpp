@@ -147,10 +147,11 @@ TEST(ProtocolRegistry, DisabledBundleProducesNoTasksOrResults) {
   for (const auto& e : report.events) {
     EXPECT_NE(e.protocol, Protocol::kBleAdv);
   }
-  for (const auto& cost : report.costs) {
-    EXPECT_EQ(cost.name.find("ble"), std::string::npos)
-        << "disabled bundle charged stage " << cost.name;
-  }
+  // The disabled bundle's analysis slot is never charged.
+  const auto& ble =
+      report.costs[rfdump::core::AnalysisStage(Protocol::kBleAdv)];
+  EXPECT_EQ(ble.wall_ns, 0u);
+  EXPECT_EQ(ble.samples, 0u);
 
   // Opting the bundle in (one EnableBundle call, zero pipeline edits)
   // produces BLE decodes from the same capture.

@@ -319,12 +319,12 @@ TEST(Supervision, QuarantineRingIsBoundedAndKeepsNewest) {
 TEST(Supervision, ContainCountsDetectorThrows) {
   core::Supervisor sup;
   int ran = 0;
-  EXPECT_TRUE(sup.Contain("detect/test", [&] { ++ran; }));
-  EXPECT_FALSE(sup.Contain("detect/test", [&] {
+  EXPECT_TRUE(sup.Contain([&] { ++ran; }));
+  EXPECT_FALSE(sup.Contain([&] {
     ++ran;
     throw std::runtime_error("detector bug");
   }));
-  EXPECT_FALSE(sup.Contain("detect/test", [] { throw 42; }));
+  EXPECT_FALSE(sup.Contain([] { throw 42; }));
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(sup.counts().detector_exceptions, 2u);
 }
