@@ -251,6 +251,16 @@ int RunSpeedupTable() {
     dsp::cfloat s = k.conj_mul_sum(x.data(), kN);
     benchmark::DoNotOptimize(&s);
   });
+  // The whole GFSK channel front end (mix, FIR, discriminator, power track,
+  // floor, slicer plane) per channel-sample. It dispatches through
+  // simd::Active(), so the row forces each tier for its timing.
+  const rfdump::phybt::GfskChannel gfsk_channel(-3.5e6);
+  measure("gfsk-channel", false, [&](const simd::Kernels& k) {
+    simd::ForceTier(k.tier);
+    float gate = gfsk_channel.Process(x, 0.0).gate;
+    benchmark::DoNotOptimize(gate);
+  });
+  simd::ClearForcedTier();
 
   int gate_hits = 0;
   for (const auto& r : rows) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
@@ -43,6 +44,10 @@ class MovingAveragePower {
   /// Same, for a power value precomputed with FinitePower (the SIMD pipeline
   /// computes a whole block's power plane once and feeds it here).
   float Push(float power);
+
+  /// Pushes every value of `io` in order, replacing each with the average
+  /// Push() would have returned for it (the per-channel GFSK power track).
+  void PushAll(std::span<float> io);
 
   /// Current average without pushing.
   float Average() const;

@@ -107,8 +107,8 @@ struct DecodedAdv {
   std::int64_t end_sample = 0;
 };
 
-/// Advertising-channel scanner, mirroring the phybt demodulator's shape:
-/// each channel is mixed to DC, channel-filtered, FM-discriminated, energy-
+/// Advertising-channel scanner on the phybt GfskChannel front end: each
+/// channel is mixed to DC, channel-filtered, FM-discriminated, energy-
 /// gated, preamble-screened, then matched against the fixed advertising
 /// access address (exact 32-bit correlation — no error tolerance needed,
 /// the address is known a priori).

@@ -2,7 +2,8 @@
 // Bluetooth demodulator (BlueSniff-equivalent analysis stage).
 //
 // Scans the full 8 Msps band: each of the 8 visible 1 MHz channels is mixed
-// to DC, channel-filtered, FM-discriminated, and searched for access codes.
+// to DC, channel-filtered and FM-discriminated by the shared GfskChannel
+// front end (gfsk.hpp), and searched for access codes.
 // The sync word's BCH(64,30) structure is used to *verify* candidates and to
 // recover the transmitter LAP without prior knowledge. Header whitening is
 // brute-forced via the HEC (BlueSniff-style).

@@ -46,6 +46,14 @@ struct PacketHeader {
   bool seqn = false;
 };
 
+/// BCH(64,30) parity of a 30-bit info word: the 34-bit remainder of
+/// info * x^34 mod g(x), as the XOR of four byte-table lookups.
+[[nodiscard]] std::uint64_t BchParity(std::uint64_t info30);
+
+/// The same remainder by bitwise polynomial division: the reference the
+/// tables are built from.
+[[nodiscard]] std::uint64_t BchParityBitwise(std::uint64_t info30);
+
 /// 64-bit sync word from the LAP (BCH(64,30) with pseudo-noise overlay per
 /// Baseband spec 6.3.3). Bit 0 of the result is transmitted first.
 [[nodiscard]] std::uint64_t SyncWord(std::uint32_t lap);

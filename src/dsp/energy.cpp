@@ -34,19 +34,45 @@ float MovingAveragePower::Push(cfloat sample) {
   return Push(FinitePower(sample));
 }
 
-float MovingAveragePower::Push(float power) {
-  const float p = power;
-  sum_ += p - ring_[head_];
-  ring_[head_] = p;
-  if (++head_ == window_) head_ = 0;
-  if (count_ < window_) ++count_;
+namespace {
+
+// One push on explicit state, returning the new average. Push() runs it on
+// the members, PushAll() on locals that stay in registers across the span.
+inline float PushStep(float p, float* ring, std::size_t window,
+                      std::size_t& head, std::size_t& count,
+                      std::size_t& pushes_since_rebuild, double& sum) {
+  sum += p - ring[head];
+  ring[head] = p;
+  if (++head == window) head = 0;
+  if (count < window) ++count;
   // Rebuild the running sum occasionally to cancel accumulated float error.
-  if (++pushes_since_rebuild_ >= 1u << 20) {
-    sum_ = 0.0;
-    for (float v : ring_) sum_ += v;
-    pushes_since_rebuild_ = 0;
+  if (++pushes_since_rebuild >= 1u << 20) {
+    sum = 0.0;
+    for (std::size_t i = 0; i < window; ++i) sum += ring[i];
+    pushes_since_rebuild = 0;
   }
-  return Average();
+  return static_cast<float>(sum / static_cast<double>(count));
+}
+
+}  // namespace
+
+float MovingAveragePower::Push(float power) {
+  return PushStep(power, ring_.data(), window_, head_, count_,
+                  pushes_since_rebuild_, sum_);
+}
+
+void MovingAveragePower::PushAll(std::span<float> io) {
+  std::size_t head = head_;
+  std::size_t count = count_;
+  std::size_t since = pushes_since_rebuild_;
+  double sum = sum_;
+  for (float& v : io) {
+    v = PushStep(v, ring_.data(), window_, head, count, since, sum);
+  }
+  head_ = head;
+  count_ = count;
+  pushes_since_rebuild_ = since;
+  sum_ = sum;
 }
 
 float MovingAveragePower::Average() const {

@@ -1,13 +1,8 @@
 #include "rfdump/phyble/adv.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "rfdump/dsp/energy.hpp"
-#include "rfdump/dsp/fir.hpp"
 #include "rfdump/dsp/nco.hpp"
-#include "rfdump/dsp/simd.hpp"
-#include "rfdump/util/scratch.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/phybt/packet.hpp"
@@ -185,83 +180,24 @@ void AdvDemodulator::ScanChannel(dsp::const_sample_span x, int channel,
   util::WorkBudget* budget = config_.budget;
   if (budget && !budget->Charge(x.size())) return;
 
-  // Channelize: translate the advertising channel to DC, low-pass to ~1 MHz.
-  // Scratch-arena buffers, as in the phybt channel scan: the 3-channel sweep
-  // reuses one set of allocations per thread.
-  struct ChTag {};
-  auto& ch = util::Scratch<dsp::cfloat, ChTag>();
-  ch.assign(x.begin(), x.end());
-  dsp::Nco nco(-*AdvChannelOffsetHz(channel), dsp::kSampleRateHz);
-  nco.Mix(ch);
-  static const std::vector<float> kChanTaps =
-      dsp::DesignLowPass(600e3, dsp::kSampleRateHz, 21);
-  dsp::FirFilter lp(kChanTaps);
-  struct FilteredTag {};
-  auto& filtered = util::Scratch<dsp::cfloat, FilteredTag>();
-  filtered.clear();
-  lp.Process(ch, filtered);
-
-  struct FreqTag {};
-  auto& freq = util::Scratch<float, FreqTag>();
-  phybt::FmDiscriminateInto(filtered, freq);
-  struct PowerTag {};
-  auto& power = util::Scratch<float, PowerTag>();
-  power.resize(filtered.size());
-  struct PlaneTag {};
-  auto& plane = util::Scratch<float, PlaneTag>();
-  plane.resize(filtered.size());
-  dsp::simd::Active().power_plane(filtered.data(), filtered.size(),
-                                  plane.data());
-  {
-    dsp::MovingAveragePower ma(16);
-    for (std::size_t n = 0; n < filtered.size(); ++n) {
-      power[n] = ma.Push(plane[n]);
-    }
-  }
-  double floor_est = 0.0;
-  if (config_.noise_floor_power > 0.0) {
-    double tap_energy = 0.0;
-    for (float t : kChanTaps) tap_energy += static_cast<double>(t) * t;
-    floor_est = config_.noise_floor_power * tap_energy;
-  } else {
-    std::vector<float> probe;
-    probe.reserve(power.size() / 64 + 1);
-    for (std::size_t n = 0; n < power.size(); n += 64) {
-      probe.push_back(power[n]);
-    }
-    std::sort(probe.begin(), probe.end());
-    const std::size_t decile = std::max<std::size_t>(probe.size() / 10, 1);
-    for (std::size_t i = 0; i < decile; ++i) floor_est += probe[i];
-    floor_est /= static_cast<double>(decile);
-  }
-  const float gate = static_cast<float>(std::max(floor_est * 4.0, 1e-12));
+  // Channelize, discriminate, gate and pack the slicer plane: the phybt
+  // GFSK front end, tuned to the folded advertising channel.
+  const phybt::GfskTrack track =
+      phybt::GfskChannel(*AdvChannelOffsetHz(channel))
+          .Process(x, config_.noise_floor_power);
+  const std::span<const float> freq = track.freq;
 
   const std::size_t need = kSyncBits * kSps;
+  const std::size_t limit = freq.size() > need ? freq.size() - need : 0;
   std::size_t pos = 1;  // SliceSymbols needs center >= 1
-  while (pos + need < freq.size()) {
-    if (power[pos] < gate) {
-      pos += kSps;
-      continue;
-    }
-    // Cheap screen: 4 alternating preamble symbols, as in phybt.
-    const float p0 = freq[pos];
-    const float p1 = freq[pos + kSps];
-    const float p2 = freq[pos + 2 * kSps];
-    const float p3 = freq[pos + 3 * kSps];
-    if (!(std::signbit(p0) != std::signbit(p1) &&
-          std::signbit(p1) != std::signbit(p2) &&
-          std::signbit(p2) != std::signbit(p3))) {
-      ++pos;
-      continue;
-    }
+  while ((pos = track.NextCandidate(pos, limit)) < limit) {
     c_checks.Inc();
     if (budget && !budget->Charge(kAccessBits * kSps)) break;
     // The advertising access address is fixed and known, so candidates are
-    // verified by exact 32-bit correlation — no BCH structure needed.
-    const util::BitVec aa_bits =
-        phybt::SliceSymbols(freq, pos + kPreambleBits * kSps, kAccessBits);
-    if (aa_bits.size() < kAccessBits) break;
-    if (util::BitsToUintLsbFirst(aa_bits) != kAdvAccessAddress) {
+    // verified by exact 32-bit correlation — no BCH structure needed. The
+    // plane holds every center of it (pos < limit).
+    if (track.plane.Word(pos + kPreambleBits * kSps, kAccessBits) !=
+        kAdvAccessAddress) {
       ++pos;
       continue;
     }

@@ -1,6 +1,7 @@
 #include "rfdump/phybt/packet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "rfdump/util/crc.hpp"
@@ -16,8 +17,9 @@ constexpr std::uint64_t kBchGenerator = 0260534236651ull;
 // bit 0 transmitted first).
 constexpr std::uint64_t kPnSequence = 0x83848D96BBCC54FCull;
 
-// GF(2) polynomial remainder of info*x^34 mod g(x).
-std::uint64_t BchParity(std::uint64_t info30) {
+}  // namespace
+
+std::uint64_t BchParityBitwise(std::uint64_t info30) {
   std::uint64_t reg = info30 << 34;
   for (int bit = 63; bit >= 34; --bit) {
     if (reg & (1ull << bit)) {
@@ -27,7 +29,21 @@ std::uint64_t BchParity(std::uint64_t info30) {
   return reg;  // 34-bit remainder
 }
 
-}  // namespace
+std::uint64_t BchParity(std::uint64_t info30) {
+  // The remainder is GF(2)-linear in the info word, so it is the XOR of the
+  // remainders of its four bytes, each tabulated once by the bitwise division.
+  static const auto kTables = [] {
+    std::array<std::array<std::uint64_t, 256>, 4> t{};
+    for (unsigned k = 0; k < 4; ++k) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        t[k][v] = BchParityBitwise(v << (8 * k));
+      }
+    }
+    return t;
+  }();
+  return kTables[0][info30 & 0xFF] ^ kTables[1][(info30 >> 8) & 0xFF] ^
+         kTables[2][(info30 >> 16) & 0xFF] ^ kTables[3][(info30 >> 24) & 0xFF];
+}
 
 const char* PacketTypeName(PacketType t) {
   switch (t) {

@@ -73,16 +73,28 @@ const std::array<dsp::SampleVec, 16>& SymbolRefs() {
   return refs;
 }
 
+// Energy of each reference waveform, summed in sample order.
+const std::array<double, 16>& SymbolRefEnergies() {
+  static const auto energies = [] {
+    std::array<double, 16> e{};
+    for (std::size_t s = 0; s < 16; ++s) {
+      for (const cfloat r : SymbolRefs()[s]) e[s] += std::norm(r);
+    }
+    return e;
+  }();
+  return energies;
+}
+
 // Normalized correlation of x[at..at+128) against reference `s`.
 float SymbolCorrelation(dsp::const_sample_span x, std::size_t at, int s,
                         cfloat* rotation_out = nullptr) {
   const auto& ref = SymbolRefs()[static_cast<std::size_t>(s)];
+  const double er = SymbolRefEnergies()[static_cast<std::size_t>(s)];
   cfloat acc{0.0f, 0.0f};
-  double ex = 0.0, er = 0.0;
+  double ex = 0.0;
   for (std::size_t n = 0; n < kSamplesPerSymbol; ++n) {
     acc += x[at + n] * std::conj(ref[n]);
     ex += std::norm(x[at + n]);
-    er += std::norm(ref[n]);
   }
   if (rotation_out) *rotation_out = acc;
   const double denom = std::sqrt(std::max(ex * er, 1e-30));

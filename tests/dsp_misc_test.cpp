@@ -4,6 +4,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "rfdump/dsp/barker.hpp"
 #include "rfdump/dsp/db.hpp"
@@ -358,6 +360,26 @@ TEST(Energy, MovingAverageTracksStep) {
   EXPECT_NEAR(ma.Average(), 1.0f, 1e-6f);  // window fully in the step
   ma.Reset();
   EXPECT_EQ(ma.Average(), 0.0f);
+}
+
+TEST(Energy, MovingAveragePushAllMatchesPushBitForBit) {
+  // Past 2^20 pushes, so the periodic rebuild of the running sum is covered;
+  // split in two calls so PushAll resumes from its own saved state.
+  std::vector<float> power((1u << 20) + 5000);
+  rfdump::util::Xoshiro256 rng(21);
+  for (auto& p : power) p = static_cast<float>(rng.UniformDouble() * 3.0);
+  for (const std::size_t window : {std::size_t{16}, std::size_t{20}}) {
+    dsp::MovingAveragePower one(window);
+    dsp::MovingAveragePower all(window);
+    std::vector<float> batch = power;
+    const std::span<float> io(batch);
+    all.PushAll(io.first(777));
+    all.PushAll(io.subspan(777));
+    for (std::size_t i = 0; i < power.size(); ++i) {
+      ASSERT_EQ(batch[i], one.Push(power[i])) << "window " << window << " " << i;
+    }
+    EXPECT_EQ(all.Average(), one.Average());
+  }
 }
 
 TEST(Energy, RejectsZeroWindow) {

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "rfdump/dsp/nco.hpp"
 #include "rfdump/phyble/adv.hpp"
+#include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/testing/scenario.hpp"
+#include "rfdump/util/rng.hpp"
 #include "rfdump/util/work_budget.hpp"
 
 namespace {
@@ -111,6 +114,43 @@ TEST(PhyBle, ModulateDemodulateRoundTripPerChannel) {
     EXPECT_EQ(decoded[0].pdu.type, AdvPduType::kAdvNonconnInd);
     EXPECT_GE(decoded[0].start_sample, 0);
     EXPECT_GT(decoded[0].end_sample, decoded[0].start_sample);
+  }
+}
+
+TEST(PhyBle, AdvChannelMixTablesAreTheNcosFirstPeriod) {
+  for (const int channel : rfdump::phyble::kAdvChannels) {
+    const double offset = *rfdump::phyble::AdvChannelOffsetHz(channel);
+    const rfdump::phybt::GfskChannel ch(offset);
+    EXPECT_EQ(ch.period(), offset == 0.0 ? 1u : 8u) << channel;
+    rfdump::dsp::Nco nco(-offset, rfdump::dsp::kSampleRateHz);
+    for (const rfdump::dsp::cfloat t : ch.mix_table()) {
+      EXPECT_EQ(t, nco.Next());
+    }
+  }
+}
+
+TEST(PhyBle, SlicerPlaneWordEqualsSliceSymbols32) {
+  constexpr std::size_t kSps = rfdump::phybt::kSamplesPerSymbol;
+  std::vector<std::uint64_t> words;
+  for (const std::size_t n : {std::size_t{300}, std::size_t{777},
+                              std::size_t{2049}, std::size_t{9000}}) {
+    rfdump::util::Xoshiro256 rng(n);
+    std::vector<float> freq(n);
+    for (auto& v : freq) {
+      v = rng.UniformInt(0, 7) == 0
+              ? 0.0f
+              : static_cast<float>(rng.UniformDouble() * 2.0 - 1.0);
+    }
+    const auto plane = rfdump::phybt::PackSlicerPlane(freq, words);
+    // Every center whose 32 symbols lie in [1, n - 2].
+    for (std::size_t c = 1; c + 31 * kSps + 2 <= n; ++c) {
+      const auto bits =
+          rfdump::phybt::SliceSymbols(freq, c, rfdump::phyble::kAccessBits);
+      ASSERT_EQ(bits.size(), rfdump::phyble::kAccessBits);
+      ASSERT_EQ(plane.Word(c, rfdump::phyble::kAccessBits),
+                rfdump::util::BitsToUintLsbFirst(bits))
+          << "n " << n << " center " << c;
+    }
   }
 }
 

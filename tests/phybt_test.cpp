@@ -2,6 +2,8 @@
 // packet bit round trips, GFSK loopback and the full band demodulator.
 
 #include <bit>
+#include <stdexcept>
+#include <utility>
 #include <gtest/gtest.h>
 
 #include "rfdump/channel/channel.hpp"
@@ -63,6 +65,19 @@ TEST(SyncWord, RandomWordsRejected) {
   }
   // 34 parity bits: false accept probability ~6e-11 per word.
   EXPECT_EQ(false_accepts, 0);
+}
+
+TEST(SyncWord, BchParityTablesMatchBitwiseDivision) {
+  for (int bit = 0; bit < 30; ++bit) {
+    const std::uint64_t info = 1ull << bit;
+    EXPECT_EQ(bt::BchParity(info), bt::BchParityBitwise(info)) << bit;
+  }
+  util::Xoshiro256 rng(30);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t info = rng() & 0x3FFFFFFFull;
+    ASSERT_EQ(bt::BchParity(info), bt::BchParityBitwise(info))
+        << std::hex << info;
+  }
 }
 
 // ---------------------------------------------------------------- whitening
@@ -226,6 +241,85 @@ TEST(Gfsk, DiscriminatorRecoversBits) {
   EXPECT_EQ(util::HammingDistance(sliced, bits), 0u);
 }
 
+// A random discriminator track with exact zeros and exact ties mixed in,
+// so the plane's `> 0` decisions are tested at the boundary too.
+std::vector<float> RandomTrack(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<float> f(n);
+  for (auto& v : f) {
+    const auto kind = rng.UniformInt(0, 9);
+    v = kind == 0   ? 0.0f
+        : kind == 1 ? 0.25f
+        : kind == 2 ? -0.25f
+                    : static_cast<float>(rng.UniformDouble() * 2.0 - 1.0);
+  }
+  return f;
+}
+
+TEST(GfskChannel, SlicerPlaneWordEqualsSliceSymbols64) {
+  std::vector<std::uint64_t> words;
+  for (const std::size_t n : {std::size_t{600}, std::size_t{1000},
+                              std::size_t{4097}, std::size_t{12345}}) {
+    const auto freq = RandomTrack(n, n);
+    const bt::SlicerPlane plane = bt::PackSlicerPlane(freq, words);
+    // Every center whose 64 symbols lie in [1, n - 2].
+    for (std::size_t c = 1; c + 63 * bt::kSamplesPerSymbol + 2 <= n; ++c) {
+      const auto bits = bt::SliceSymbols(freq, c, 64);
+      ASSERT_EQ(bits.size(), 64u);
+      ASSERT_EQ(plane.Word(c, 64), util::BitsToUintLsbFirst(bits))
+          << "n " << n << " center " << c;
+    }
+  }
+}
+
+TEST(GfskChannel, MixTableIsTheNcosFirstPeriod) {
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    const double offset = bt::VisibleIndexOffsetHz(idx);
+    const bt::GfskChannel ch(offset);
+    ASSERT_EQ(ch.period(), 16u) << idx;
+    dsp::Nco nco(-offset, dsp::kSampleRateHz);
+    for (const dsp::cfloat t : ch.mix_table()) EXPECT_EQ(t, nco.Next());
+  }
+}
+
+TEST(GfskChannel, MixStaysWithinOneUnitUlpOfTheNco) {
+  // The Nco accumulates phase in double; past the first period only its
+  // near-zero components drift from the table's, by far less than one ulp
+  // of the unit phasor. Every other component is bit-equal.
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    const double offset = bt::VisibleIndexOffsetHz(idx);
+    const bt::GfskChannel ch(offset);
+    dsp::Nco nco(-offset, dsp::kSampleRateHz);
+    for (std::size_t n = 0; n < 1'000'000; ++n) {
+      const dsp::cfloat want = nco.Next();
+      const dsp::cfloat got = ch.mix_table()[n % ch.period()];
+      for (const auto& [w, g] : {std::pair{want.real(), got.real()},
+                                 std::pair{want.imag(), got.imag()}}) {
+        ASSERT_LT(std::abs(w - g), 0x1p-24f) << idx << " " << n;
+        if (std::abs(w) >= 0x1p-24f) {
+          ASSERT_EQ(w, g) << idx << " " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(GfskChannel, RejectsOffsetsWithoutAShortPeriod) {
+  // 100 kHz repeats every 80 samples at 8 Msps; 1234.5 Hz never does.
+  EXPECT_THROW(bt::GfskChannel(100e3), std::invalid_argument);
+  EXPECT_THROW(bt::GfskChannel(1234.5), std::invalid_argument);
+  EXPECT_EQ(bt::GfskChannel(125e3).period(), 64u);
+  EXPECT_EQ(bt::GfskChannel(0.0).period(), 1u);
+}
+
+TEST(GfskChannel, EmptyWindowGivesAnEmptyTrack) {
+  const bt::GfskTrack track =
+      bt::GfskChannel(bt::VisibleIndexOffsetHz(0)).Process({}, 0.0);
+  EXPECT_TRUE(track.freq.empty());
+  EXPECT_TRUE(track.power.empty());
+  EXPECT_GT(track.gate, 0.0f);
+}
+
 // ----------------------------------------------------------- band demod
 
 bt::BtBurst MakeVisibleBurst(const bt::DeviceAddress& addr,
@@ -262,6 +356,36 @@ TEST(BtDemod, DecodesVisibleBurst) {
   EXPECT_TRUE(pkts[0].packet.crc_ok);
   EXPECT_EQ(pkts[0].packet.payload, payload);
   EXPECT_NEAR(static_cast<double>(pkts[0].start_sample), 2000.0, 64.0);
+}
+
+TEST(BtDemod, DecodesABurstOnEveryVisibleChannel) {
+  bt::DeviceAddress addr{0x2A96EF, 0x47};
+  const std::vector<std::uint8_t> payload(20, 0xC3);
+  bt::PacketHeader hdr;
+  hdr.type = bt::PacketType::kDh1;
+  std::vector<bool> seen(bt::kVisibleChannels, false);
+  int found = 0;
+  for (std::uint32_t clk = 0; found < bt::kVisibleChannels; ++clk) {
+    const auto burst = bt::ModulatePacket(addr, hdr, payload, clk);
+    if (burst.samples.empty()) continue;
+    const int idx = burst.channel - bt::kFirstVisibleChannel;
+    if (seen[static_cast<std::size_t>(idx)]) continue;
+    seen[static_cast<std::size_t>(idx)] = true;
+    ++found;
+
+    dsp::SampleVec band(1500, dsp::cfloat{0.0f, 0.0f});
+    band.insert(band.end(), burst.samples.begin(), burst.samples.end());
+    band.insert(band.end(), 1500, dsp::cfloat{0.0f, 0.0f});
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(idx) + 20);
+    rfdump::channel::AddAwgn(band, 1e-4, rng);
+    bt::Demodulator demod;
+    const auto pkts = demod.DecodeAll(band);
+    ASSERT_EQ(pkts.size(), 1u) << "visible channel " << idx;
+    EXPECT_EQ(pkts[0].channel_index, idx);
+    EXPECT_EQ(pkts[0].lap, addr.lap);
+    EXPECT_TRUE(pkts[0].packet.crc_ok);
+    EXPECT_EQ(pkts[0].packet.payload, payload);
+  }
 }
 
 TEST(BtDemod, SingleChannelModeOnlySeesItsChannel) {
