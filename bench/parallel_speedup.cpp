@@ -1,5 +1,5 @@
 // Parallel analysis speedup (DESIGN.md §10): the demodulator bank fanned
-// out over a work-stealing executor must (a) produce a MonitorReport whose
+// out over the analysis executor must (a) produce a MonitorReport whose
 // result-bearing fields are bit-identical to the serial run — parallelism is
 // only allowed to move wall time — and (b) cut the analysis-stage wall time
 // by >= 2x at 4 workers on hardware that actually has them.

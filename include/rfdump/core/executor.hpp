@@ -5,20 +5,26 @@
 // buys enough headroom to run many expensive demodulators; the demodulator
 // bank itself (1 x 802.11 + 8 x per-channel Bluetooth) is embarrassingly
 // parallel across dispatched intervals. The Executor turns that into wall
-// clock: a fixed-width work-stealing thread pool over which the pipelines
-// fan out per-interval analysis tasks, with a serial inline mode that is the
-// default and is byte-for-byte the pre-parallel behavior.
+// clock: a fixed-width thread pool over which the pipelines fan out
+// per-interval analysis tasks, with a serial inline mode that is the default
+// and is byte-for-byte the pre-parallel behavior.
 //
 // Width semantics: Executor(N) means N analysis workers total — N-1 pool
 // threads plus the caller, which joins the work inside Batch::Wait()
 // (help-while-wait). Executor(1) therefore spawns no threads at all and
 // every Batch::Run() executes inline at the call site, in submission order.
 //
-// Scheduling: each pool thread owns a deque; submissions are distributed
-// round-robin; an idle worker first drains its own deque (FIFO) and then
-// steals from its siblings. Tasks must not block on other tasks — the
-// pipelines only submit leaf demodulation units, so a waiting thread that
-// "helps" can never deadlock.
+// Scheduling: one mutex-guarded task queue and one condition variable per
+// executor, shared by every batch. Pool threads take the oldest task; a
+// caller helping inside Wait() takes the newest. The pipelines submit units
+// grouped by protocol, so the two ends run different demodulators side by
+// side instead of N copies of one (all-oldest-first cost ~10% more width-4
+// analysis CPU on perfbench's wifi-dense, whose ZigBee units sit at the
+// tail, on a 4-vCPU x86-64 host). A pass submits a few thousand
+// tasks of >= ~50 us each, so one queue operation is far below 1% of task
+// time and per-thread deques would buy nothing. Tasks must not block on
+// other tasks — the pipelines only submit leaf demodulation units, so a
+// waiting thread that "helps" can never deadlock.
 //
 // Determinism contract: the Executor guarantees only that every task
 // submitted to a Batch has completed when Wait() returns, and that the
@@ -27,7 +33,6 @@
 // and combine the slots in submission order after Wait().
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -90,24 +95,21 @@ class Executor {
     double enqueued_at = 0.0;  // Stopwatch::NowSeconds at submission
   };
 
-  /// One pool thread's deque (owner pops front, thieves steal back).
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(std::size_t index);
+  void WorkerLoop();
   void Enqueue(Task task);
-  bool TryPop(std::size_t preferred, Task& out);
+  /// Pops the oldest task, or the newest. Requires mu_ held and a non-empty
+  /// queue.
+  Task PopLocked(bool newest);
   void RunTask(Task& task);
 
   int threads_ = 1;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> pool_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
+  // Guards queue_, shutdown_ and every batch's pending count and first
+  // error; cv_ announces both a new task and a finished batch.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Task> queue_;
   bool shutdown_ = false;
-  std::uint64_t next_queue_ = 0;  // round-robin submission cursor
 };
 
 }  // namespace rfdump::core

@@ -4,8 +4,9 @@
 //
 // A ProtocolBundle packages everything the monitor needs to host one
 // protocol: its feature-table rows (paper Table 2), a detector factory for
-// the cheap Detect() stage, an analysis plan + demodulator entry for the
-// expensive AnalyzeDetections() stage, scenario-DSL traffic hooks, oracle
+// the cheap Detect() stage, an analysis plan + a demodulation unit that
+// returns its decoded events (plain data, no closure) for the expensive
+// AnalyzeDetections() stage, scenario-DSL traffic hooks, oracle
 // scoring membership, differential-harness membership, and a fuzz entry
 // point. Bundles self-register from their translation unit at static-init
 // time (see src/core/bundles/); the pipeline fan-out, result sinks, the
@@ -106,11 +107,18 @@ struct AnalysisUnitContext {
   util::WorkBudget* budget = nullptr;
 };
 
-/// Deferred result application: run_unit executes on a worker thread and
-/// returns a commit closure; the pipeline invokes commits single-threaded in
-/// deterministic submission order, which is what keeps parallel analysis
-/// bit-identical to serial.
-using AnalysisCommit = std::function<void(MonitorReport&)>;
+/// One unit's result: its decoded events, already rebased to capture
+/// sample positions. run_unit executes on a worker thread; the pipeline
+/// appends the events single-threaded in deterministic submission order,
+/// which is what keeps parallel analysis bit-identical to serial.
+struct AnalysisCommit {
+  std::vector<ProtocolEvent> events;
+
+  /// True when the unit decoded anything.
+  explicit operator bool() const noexcept { return !events.empty(); }
+  /// Moves the events onto the end of report.events.
+  void operator()(MonitorReport& report);
+};
 
 /// Everything one protocol contributes to the monitor. All hooks are
 /// optional; a bundle that only wants feature-table membership registers
@@ -145,7 +153,8 @@ struct ProtocolBundle {
   std::function<ProtocolDetectors(const DetectorSetup&)> make_detectors;
   /// Fan-out shape of the analysis stage for this protocol's intervals.
   std::function<AnalysisPlan(const AnalysisConfig&)> analysis_plan;
-  /// One demodulation unit (invoked units times per interval).
+  /// One demodulation unit (invoked units times per interval, possibly
+  /// concurrently): returns the unit's rebased events.
   std::function<AnalysisCommit(const AnalysisUnitContext&, int unit)> run_unit;
   /// Renders one of this protocol's events as the CLI's listing text: the
   /// protocol column, then e.g. rate, MAC kind and addresses for 802.11.

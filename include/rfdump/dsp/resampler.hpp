@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "rfdump/dsp/fir.hpp"
 #include "rfdump/dsp/types.hpp"
 
 namespace rfdump::dsp {
@@ -47,26 +46,6 @@ class RationalResampler {
   SampleVec window_;           // last taps_per_phase input samples (newest last)
   std::size_t filled_ = 0;     // valid samples in window_
   std::size_t phase_acc_ = 0;  // polyphase accumulator in [0, interp)
-};
-
-/// Integer decimator with windowed-sinc anti-alias low-pass filtering.
-class Decimator {
- public:
-  /// Keeps 1 of every `factor` samples after low-pass filtering at
-  /// (sample_rate/factor)/2.
-  explicit Decimator(std::size_t factor, std::size_t num_taps = 97);
-
-  std::size_t factor() const { return factor_; }
-
-  /// Appends the decimated stream to `out`; streaming-safe across calls.
-  void Process(const_sample_span input, SampleVec& out);
-  [[nodiscard]] SampleVec Decimated(const_sample_span input);
-  void Reset();
-
- private:
-  std::size_t factor_;
-  FirFilter lowpass_;
-  std::size_t skip_ = 0;  // filtered samples to drop before the next keep
 };
 
 }  // namespace rfdump::dsp

@@ -168,9 +168,7 @@ ProtocolBundle MakeWifiBundle() {
                  (f.payload_decoded ? kPayloadDecoded : 0u);
       events.push_back(std::move(e));
     }
-    return [events = std::move(events)](MonitorReport& report) mutable {
-      for (auto& e : events) report.events.push_back(std::move(e));
-    };
+    return {std::move(events)};
   };
   b.describe = [](const ProtocolEvent& e) {
     std::string info = "802.11b    ";

@@ -169,9 +169,7 @@ ProtocolBundle MakeBleBundle() {
       e.payload = std::move(a.pdu.payload);
       events.push_back(std::move(e));
     }
-    return [events = std::move(events)](MonitorReport& report) mutable {
-      for (auto& e : events) report.events.push_back(std::move(e));
-    };
+    return {std::move(events)};
   };
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {

@@ -211,9 +211,7 @@ ProtocolBundle MakeBtBundle() {
                  (static_cast<std::uint32_t>(p.packet.header.type) << 24);
       events.push_back(std::move(e));
     }
-    return [events = std::move(events)](MonitorReport& report) mutable {
-      for (auto& e : events) report.events.push_back(std::move(e));
-    };
+    return {std::move(events)};
   };
   b.describe = [](const ProtocolEvent& e) {
     char buf[160];

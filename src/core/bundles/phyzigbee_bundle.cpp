@@ -116,15 +116,14 @@ ProtocolBundle MakeZigbeeBundle() {
         phyzigbee::DecodeFrame(ctx.span);
     if (!frame) return {};
     c_frames.Inc();
-    ProtocolEvent e;
+    std::vector<ProtocolEvent> events(1);
+    ProtocolEvent& e = events.front();
     e.protocol = Protocol::kZigbee;
     e.start_sample = frame->start_sample + ctx.start_sample;
     e.end_sample = frame->end_sample + ctx.start_sample;
     e.crc_ok = frame->crc_ok;
     e.payload = std::move(frame->psdu);
-    return [e = std::move(e)](MonitorReport& report) mutable {
-      report.events.push_back(std::move(e));
-    };
+    return {std::move(events)};
   };
 
   b.canned_traffic = [](emu::Ether& ether, std::int64_t start, double off) {

@@ -1,7 +1,6 @@
 #include "rfdump/core/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "rfdump/obs/obs.hpp"
 
@@ -10,15 +9,14 @@ namespace {
 
 /// Executor metrics (DESIGN.md §8/§10), resolved once.
 struct ExecutorMetrics {
+  /// Live analysis workers summed over every live executor.
   obs::Gauge& workers =
       obs::Registry::Default().GetGauge("rfdump_executor_workers");
   obs::Counter& tasks =
       obs::Registry::Default().GetCounter("rfdump_executor_tasks_total");
-  obs::Counter& steals =
-      obs::Registry::Default().GetCounter("rfdump_executor_steals_total");
   obs::Gauge& queue_depth =
       obs::Registry::Default().GetGauge("rfdump_executor_queue_depth");
-  /// Submission-to-start latency: how long tasks sit in the deques.
+  /// Submission-to-start latency: how long tasks sit in the queue.
   obs::Histogram& task_wait = obs::Registry::Default().GetHistogram(
       "rfdump_executor_task_wait_seconds",
       {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0});
@@ -30,9 +28,8 @@ struct ExecutorMetrics {
 
 }  // namespace
 
+/// Guarded by the owning executor's mu_.
 struct Executor::Batch::State {
-  std::mutex mu;
-  std::condition_variable cv;
   std::size_t pending = 0;  // tasks submitted but not finished
   std::exception_ptr first_error;
 };
@@ -43,103 +40,75 @@ Executor::Executor(int threads) {
   }
   threads_ = std::clamp(threads, 1, kMaxThreads);
   const int pool = threads_ - 1;  // the caller is the Nth worker (Wait helps)
-  queues_.reserve(static_cast<std::size_t>(pool));
-  for (int i = 0; i < pool; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   pool_.reserve(static_cast<std::size_t>(pool));
   for (int i = 0; i < pool; ++i) {
-    pool_.emplace_back([this, i] { WorkerLoop(static_cast<std::size_t>(i)); });
+    pool_.emplace_back([this] { WorkerLoop(); });
   }
-  ExecutorMetrics::Get().workers.Set(threads_);
+  ExecutorMetrics::Get().workers.Add(threads_);
 }
 
 Executor::~Executor() {
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  idle_cv_.notify_all();
+  cv_.notify_all();
   for (auto& t : pool_) t.join();
+  ExecutorMetrics::Get().workers.Add(-threads_);
 }
 
 void Executor::Enqueue(Task task) {
-  std::size_t qi;
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    qi = static_cast<std::size_t>(next_queue_++) % queues_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[qi]->mu);
-    queues_[qi]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    ++task.batch->pending;
+    queue_.push_back(std::move(task));
   }
   ExecutorMetrics::Get().queue_depth.Add(1.0);
-  idle_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool Executor::TryPop(std::size_t preferred, Task& out) {
-  const std::size_t n = queues_.size();
-  if (n == 0) return false;
-  // Own deque first (FIFO keeps submission order when uncontended)...
-  if (preferred < n) {
-    std::lock_guard<std::mutex> lock(queues_[preferred]->mu);
-    if (!queues_[preferred]->tasks.empty()) {
-      out = std::move(queues_[preferred]->tasks.front());
-      queues_[preferred]->tasks.pop_front();
-      ExecutorMetrics::Get().queue_depth.Add(-1.0);
-      return true;
-    }
+Executor::Task Executor::PopLocked(bool newest) {
+  Task task;
+  if (newest) {
+    task = std::move(queue_.back());
+    queue_.pop_back();
+  } else {
+    task = std::move(queue_.front());
+    queue_.pop_front();
   }
-  // ...then steal from the back of a sibling's deque.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == preferred) continue;
-    std::lock_guard<std::mutex> lock(queues_[i]->mu);
-    if (!queues_[i]->tasks.empty()) {
-      out = std::move(queues_[i]->tasks.back());
-      queues_[i]->tasks.pop_back();
-      ExecutorMetrics::Get().queue_depth.Add(-1.0);
-      if (preferred < n) ExecutorMetrics::Get().steals.Inc();
-      return true;
-    }
-  }
-  return false;
+  ExecutorMetrics::Get().queue_depth.Add(-1.0);
+  return task;
 }
 
 void Executor::RunTask(Task& task) {
   auto& metrics = ExecutorMetrics::Get();
   metrics.task_wait.Observe(obs::Stopwatch::NowSeconds() - task.enqueued_at);
+  std::exception_ptr error;
   try {
     task.fn();
   } catch (...) {
-    std::lock_guard<std::mutex> lock(task.batch->mu);
-    if (!task.batch->first_error) {
-      task.batch->first_error = std::current_exception();
-    }
+    error = std::current_exception();
   }
   metrics.tasks.Inc();
+  bool finished_batch = false;
   {
-    std::lock_guard<std::mutex> lock(task.batch->mu);
-    if (--task.batch->pending == 0) task.batch->cv.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error && !task.batch->first_error) task.batch->first_error = error;
+    finished_batch = --task.batch->pending == 0;
   }
+  if (finished_batch) cv_.notify_all();  // wakes that batch's Wait()
 }
 
-void Executor::WorkerLoop(std::size_t index) {
-  std::uint64_t seen_epoch = 0;
+void Executor::WorkerLoop() {
   for (;;) {
     Task task;
-    if (TryPop(index, task)) {
-      RunTask(task);
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // shut down and drained
+      task = PopLocked(/*newest=*/false);
     }
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (shutdown_) return;
-    // next_queue_ doubles as a work epoch: it only moves on Enqueue, under
-    // this mutex, so waiting until it changes cannot miss a submission.
-    if (next_queue_ == seen_epoch) {
-      idle_cv_.wait(lock, [&] { return shutdown_ || next_queue_ != seen_epoch; });
-      if (shutdown_) return;
-    }
-    seen_epoch = next_queue_;
+    RunTask(task);
   }
 }
 
@@ -172,10 +141,6 @@ void Executor::Batch::Run(std::function<void()> fn) {
     }
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    ++state_->pending;
-  }
   ex_->Enqueue(Task{std::move(fn), state_, obs::Stopwatch::NowSeconds()});
 }
 
@@ -189,31 +154,28 @@ void Executor::Batch::Wait() {
     }
     return;
   }
-  // Help-while-wait: the caller is the pool's Nth worker. Our own tasks are
-  // all submitted by now, so anything TryPop returns is a leaf that cannot
-  // block back on us.
+  // Help-while-wait: the caller is the pool's Nth worker. Every queued task
+  // is a leaf (this batch's or another caller's) that cannot block back on
+  // us. It takes the newest task while the pool takes the oldest (see the
+  // header). The predicates and both wakeups live under the one mutex, so
+  // a submission or a completion cannot slip between check and sleep.
+  std::unique_lock<std::mutex> lock(ex_->mu_);
   for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (state_->pending == 0) break;
-    }
-    Task task;
-    if (ex_->TryPop(ex_->queues_.size(), task)) {
-      ex_->RunTask(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state_->mu);
-    // Re-check under the lock, then sleep briefly; completions notify, the
-    // timeout re-opens the helping loop for late-queued sibling tasks.
-    state_->cv.wait_for(lock, std::chrono::milliseconds(2),
-                        [&] { return state_->pending == 0; });
+    ex_->cv_.wait(lock, [&] {
+      return state_->pending == 0 || !ex_->queue_.empty();
+    });
+    if (state_->pending == 0) break;
+    Task task = ex_->PopLocked(/*newest=*/true);
+    lock.unlock();
+    ex_->RunTask(task);
+    lock.lock();
   }
-  std::exception_ptr e;
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    e = state_->first_error;
-    state_->first_error = nullptr;
-  }
+  // A wakeup meant for a task may have landed here as the batch finished;
+  // pass it on so the queued work is not left for a later submission.
+  if (!ex_->queue_.empty()) ex_->cv_.notify_one();
+  std::exception_ptr e = state_->first_error;
+  state_->first_error = nullptr;
+  lock.unlock();
   if (e) std::rethrow_exception(e);
 }
 

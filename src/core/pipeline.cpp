@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <string>
@@ -85,6 +84,44 @@ void DedupAnalysisResults(MonitorReport& report) {
       report.events.end());
 }
 
+/// One analysis unit's result slot. Written by exactly one worker and only
+/// read after Batch::Wait(), so it needs no locking.
+struct UnitOut {
+  StageSlot cost;         // stays zero when skipped on an expired budget
+  AnalysisCommit commit;  // the unit's rebased events, appended at merge
+  std::exception_ptr error;
+  std::string error_text;
+};
+
+/// What is fixed for one dispatched interval. A task is (job, unit): the
+/// task capture is a pointer and an index, small enough to live inside
+/// std::function's own buffer.
+struct IntervalJob {
+  const ProtocolBundle* bundle = nullptr;
+  bool check_budget = false;
+  Stage stage = Stage::kAnalysis;
+  AnalysisUnitContext ctx;
+  std::shared_ptr<Supervisor::Admission> admission;  // null without sup
+  std::vector<UnitOut> units;
+
+  void RunUnit(int unit) {
+    if (check_budget && ctx.budget->expired()) {
+      return;  // all units of an interval share its budget
+    }
+    UnitOut& out = units[static_cast<std::size_t>(unit)];
+    StageScope scope(out.cost, stage, ctx.span.size());
+    try {
+      out.commit = bundle->run_unit(ctx, unit);
+    } catch (const std::exception& e) {
+      out.error = std::current_exception();
+      out.error_text = e.what();
+    } catch (...) {
+      out.error = std::current_exception();
+      out.error_text = "non-std exception";
+    }
+  }
+};
+
 // The analysis stage (DESIGN.md §10). Each dispatched interval x analysis
 // unit — e.g. every per-channel Bluetooth pass — is one task of an
 // Executor::Batch writing into its own result slot (a null or serial executor
@@ -105,26 +142,13 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
                  const std::vector<Detection>& intervals,
                  dsp::const_sample_span x, MonitorReport& report) {
   if (!analysis.demodulate) return;
-  // One result slot per task. Slots are written by exactly one worker each
-  // and only read after Batch::Wait(), so they need no locking.
-  struct UnitOut {
-    StageSlot cost;  // stays zero when skipped on an expired budget
-    AnalysisCommit commit;  // deferred result application, run at merge
-    std::exception_ptr error;
-    std::string error_text;
-  };
-  struct IntervalJob {
-    Stage stage = Stage::kAnalysis;
-    dsp::const_sample_span span;
-    std::shared_ptr<Supervisor::Admission> admission;  // null without sup
-    bool run_units = true;
-    std::vector<UnitOut> units;
-  };
-
   // Shared by every task when unsupervised; WorkBudget::Charge is
   // documented safe under concurrent callers.
   util::WorkBudget unlimited;
-  std::deque<IntervalJob> jobs;  // deque: stable addresses for task captures
+  // At most one job per interval, reserved up front: tasks hold job
+  // addresses, so the vector must never reallocate.
+  std::vector<IntervalJob> jobs;
+  jobs.reserve(intervals.size());
   Executor::Batch batch(ex);
   const auto& registry = ProtocolRegistry::Instance();
 
@@ -140,49 +164,26 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
     const AnalysisPlan plan = bundle->analysis_plan(analysis);
     if (plan.units < 0) continue;
 
-    jobs.emplace_back();
-    IntervalJob& job = jobs.back();
+    IntervalJob& job = jobs.emplace_back();
+    job.bundle = bundle;
+    job.check_budget = plan.check_budget;
     job.stage = AnalysisStage(d.protocol);
-    job.span = x.subspan(
+    job.ctx.span = x.subspan(
         static_cast<std::size_t>(d.start_sample),
         static_cast<std::size_t>(d.end_sample - d.start_sample));
+    job.ctx.start_sample = d.start_sample;
+    job.ctx.analysis = &analysis;
+    job.ctx.noise_floor_power = noise_floor_power;
+    job.ctx.budget = &unlimited;
     if (sup != nullptr) {
       job.admission =
-          sup->Admit(d.protocol, d.start_sample, d.end_sample, job.span);
-      job.run_units = job.admission->admitted;
+          sup->Admit(d.protocol, d.start_sample, d.end_sample, job.ctx.span);
+      if (!job.admission->admitted) continue;
+      job.ctx.budget = &job.admission->budget;
     }
-    if (!job.run_units) continue;
     job.units.resize(static_cast<std::size_t>(plan.units));
-    util::WorkBudget* budget =
-        job.admission ? &job.admission->budget : &unlimited;
-    const std::int64_t start = d.start_sample;
-    const auto span = job.span;
-    const Stage stage = job.stage;
-
     for (int unit = 0; unit < plan.units; ++unit) {
-      UnitOut* out = &job.units[static_cast<std::size_t>(unit)];
-      batch.Run([out, bundle, plan, budget, span, start, unit, stage,
-                 noise_floor_power, &analysis] {
-        if (plan.check_budget && budget->expired()) {
-          return;  // all units of an interval share its budget
-        }
-        StageScope scope(out->cost, stage, span.size());
-        try {
-          AnalysisUnitContext ctx;
-          ctx.span = span;
-          ctx.start_sample = start;
-          ctx.analysis = &analysis;
-          ctx.noise_floor_power = noise_floor_power;
-          ctx.budget = budget;
-          out->commit = bundle->run_unit(ctx, unit);
-        } catch (const std::exception& e) {
-          out->error = std::current_exception();
-          out->error_text = e.what();
-        } catch (...) {
-          out->error = std::current_exception();
-          out->error_text = "non-std exception";
-        }
-      });
+      batch.Run([job = &job, unit] { job->RunUnit(unit); });
     }
   }
 
@@ -200,7 +201,7 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
         first_error = u.error;
         error_text = u.error_text;
       }
-      if (u.commit) u.commit(report);
+      u.commit(report);
     }
     if (job.admission && job.admission->admitted) {
       Outcome outcome = Outcome::kOk;
@@ -209,7 +210,8 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
       } else if (job.admission->budget.expired()) {
         outcome = Outcome::kDeadline;
       }
-      sup->Finish(*job.admission, outcome, std::move(error_text), job.span);
+      sup->Finish(*job.admission, outcome, std::move(error_text),
+                  job.ctx.span);
     } else if (!job.admission && first_error && !unsupervised_error) {
       unsupervised_error = first_error;
     }
@@ -374,6 +376,16 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     }
   };
 
+  // A peak's sample range clamped to the block (empty when it lies outside).
+  const auto peak_span = [&x](const Peak& p) {
+    const auto n = static_cast<std::int64_t>(x.size());
+    const auto s = std::clamp<std::int64_t>(p.start_sample, 0, n);
+    const auto e = std::clamp<std::int64_t>(p.end_sample, 0, n);
+    return e <= s ? dsp::const_sample_span{}
+                  : x.subspan(static_cast<std::size_t>(s),
+                              static_cast<std::size_t>(e - s));
+  };
+
   const auto handle_peaks = [&](std::span<const Peak> fresh) {
     if (fresh.empty()) return;
     for (auto& a : active) {
@@ -386,30 +398,19 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     }
     if (config_.collision_detector) {
       for (const Peak& p : fresh) {
-        const auto s = static_cast<std::size_t>(
-            std::clamp<std::int64_t>(p.start_sample, 0,
-                                     static_cast<std::int64_t>(x.size())));
-        const auto e = static_cast<std::size_t>(
-            std::clamp<std::int64_t>(p.end_sample, 0,
-                                     static_cast<std::int64_t>(x.size())));
-        if (e <= s) continue;
-        StageScope scope(costs, Stage::kCollision, e - s);
+        const auto span = peak_span(p);
+        if (span.empty()) continue;
+        StageScope scope(costs, Stage::kCollision, span.size());
         contain([&] {
-          auto d = collision.OnPeak(p, x.subspan(s, e - s));
+          auto d = collision.OnPeak(p, span);
           detections.insert(detections.end(), d.begin(), d.end());
         });
       }
     }
     if (any_on_peak) {
       for (const Peak& p : fresh) {
-        const auto s = static_cast<std::size_t>(
-            std::clamp<std::int64_t>(p.start_sample, 0,
-                                     static_cast<std::int64_t>(x.size())));
-        const auto e = static_cast<std::size_t>(
-            std::clamp<std::int64_t>(p.end_sample, 0,
-                                     static_cast<std::int64_t>(x.size())));
-        if (e <= s) continue;
-        const auto span = x.subspan(s, e - s);
+        const auto span = peak_span(p);
+        if (span.empty()) continue;
         StageScope scope(costs, Stage::kPhase, span.size());
         for (auto& a : active) {
           if (!a.hooks.on_peak) continue;

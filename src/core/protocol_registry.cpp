@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
+#include "rfdump/core/pipeline.hpp"
+
 namespace rfdump::core {
+
+void AnalysisCommit::operator()(MonitorReport& report) {
+  report.events.insert(report.events.end(),
+                       std::make_move_iterator(events.begin()),
+                       std::make_move_iterator(events.end()));
+  events.clear();
+}
 
 ProtocolRegistry& ProtocolRegistry::Instance() {
   // Function-local static: safely constructed on first use during the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "rfdump/dsp/fir.hpp"
+
 namespace rfdump::dsp {
 
 RationalResampler::RationalResampler(std::size_t interp, std::size_t decim,
@@ -58,36 +60,6 @@ void RationalResampler::Process(const_sample_span input, SampleVec& out) {
 SampleVec RationalResampler::Resampled(const_sample_span input) {
   SampleVec out;
   out.reserve(input.size() * interp_ / decim_ + 8);
-  Process(input, out);
-  return out;
-}
-
-Decimator::Decimator(std::size_t factor, std::size_t num_taps)
-    : factor_(factor),
-      lowpass_(DesignLowPass(0.5 / static_cast<double>(factor ? factor : 1),
-                             1.0, num_taps, WindowType::kBlackmanHarris)) {
-  if (factor == 0) throw std::invalid_argument("Decimator factor must be >= 1");
-}
-
-void Decimator::Reset() {
-  lowpass_.Reset();
-  skip_ = 0;
-}
-
-void Decimator::Process(const_sample_span input, SampleVec& out) {
-  SampleVec filtered;
-  filtered.reserve(input.size());
-  lowpass_.Process(input, filtered);
-  std::size_t i = skip_;
-  for (; i < filtered.size(); i += factor_) {
-    out.push_back(filtered[i]);
-  }
-  skip_ = i - filtered.size();
-}
-
-SampleVec Decimator::Decimated(const_sample_span input) {
-  SampleVec out;
-  out.reserve(input.size() / factor_ + 8);
   Process(input, out);
   return out;
 }

@@ -241,52 +241,6 @@ TEST(Resampler, RejectsZeroParams) {
   EXPECT_THROW(dsp::RationalResampler(11, 0), std::invalid_argument);
 }
 
-TEST(Decimator, KeepsEveryNth) {
-  dsp::Decimator dec(11);
-  const auto x = ComplexTone(11000, 0.1e6, 88e6);
-  const auto y = dec.Decimated(x);
-  EXPECT_EQ(y.size(), 1000u);
-  // Tone at 0.1 MHz is far below the 4 MHz post-decimation Nyquist:
-  // frequency must be preserved at the new rate.
-  const auto d = dsp::PhaseDiff(y);
-  const float expected = static_cast<float>(2.0 * std::numbers::pi * 0.1e6 / 8e6);
-  for (std::size_t i = 50; i < d.size(); ++i) {
-    EXPECT_NEAR(d[i], expected, 1e-3f);
-  }
-}
-
-TEST(Decimator, SuppressesAliases) {
-  // A 10 MHz tone at 88 Msps would alias to 2 MHz at 8 Msps; the anti-alias
-  // filter must suppress it (10 MHz > 4 MHz cutoff).
-  dsp::Decimator dec(11);
-  const auto x = ComplexTone(22000, 10e6, 88e6);
-  const auto y = dec.Decimated(x);
-  double peak = 0.0;
-  for (std::size_t i = 100; i < y.size(); ++i) {
-    peak = std::max(peak, static_cast<double>(std::abs(y[i])));
-  }
-  EXPECT_LT(peak, 0.02);
-}
-
-TEST(Decimator, StreamingMatchesOneShot) {
-  dsp::Decimator one(4), stream(4);
-  const auto x = ComplexTone(997, 0.3e6, 8e6);
-  const auto expect = one.Decimated(x);
-  dsp::SampleVec got;
-  std::size_t pos = 0;
-  const std::size_t chunks[] = {3, 10, 1, 400, 583};
-  for (std::size_t c : chunks) {
-    const std::size_t n = std::min(c, x.size() - pos);
-    stream.Process(dsp::const_sample_span(x).subspan(pos, n), got);
-    pos += n;
-  }
-  ASSERT_EQ(pos, x.size());
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(std::abs(got[i] - expect[i]), 0.0f, 1e-5f) << i;
-  }
-}
-
 // ------------------------------------------------------------------- barker
 
 TEST(Barker, AutocorrelationPeak) {

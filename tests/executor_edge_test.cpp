@@ -1,14 +1,20 @@
 // core::Executor edge cases (DESIGN.md §10): the contract corners the
 // pipelines rely on but the mainline parallel tests never hit — empty
 // batches, repeated Wait(), submission from inside a running task, and the
-// exception-in-last-task ordering.
+// exception-in-last-task ordering, two callers sharing one executor, and
+// the live-workers gauge.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "rfdump/core/executor.hpp"
+#include "rfdump/obs/obs.hpp"
 
 namespace core = rfdump::core;
 
@@ -109,5 +115,67 @@ TEST(ExecutorEdge, FirstOfSeveralExceptionsWins) {
     EXPECT_STREQ(e.what(), "first");
   }
 }
+
+TEST(ExecutorEdge, TwoThreadsShareOneExecutor) {
+  // Two callers run a batch each on one executor at the same time: their
+  // tasks share the queue, and each caller helps drain it while waiting.
+  // Every task runs exactly once, and each Wait() rethrows its own batch's
+  // error, never the other's.
+  static constexpr int kTasks = 200;
+  core::Executor ex(4);
+  std::array<std::vector<std::atomic<int>>, 2> hits{
+      std::vector<std::atomic<int>>(kTasks),
+      std::vector<std::atomic<int>>(kTasks)};
+  std::array<std::string, 2> caught;
+  std::atomic<int> ready{0};
+  const auto caller = [&](int b) {
+    core::Executor::Batch batch(&ex);
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < kTasks; ++i) {
+      batch.Run([&hits, b, i] {
+        hits[b][i].fetch_add(1);
+        if (i == kTasks / 2) {
+          throw std::runtime_error("batch " + std::to_string(b));
+        }
+      });
+    }
+    try {
+      batch.Wait();
+    } catch (const std::runtime_error& e) {
+      caught[b] = e.what();
+    }
+  };
+  std::thread first(caller, 0);
+  std::thread second(caller, 1);
+  first.join();
+  second.join();
+  for (int b = 0; b < 2; ++b) {
+    EXPECT_EQ(caught[b], "batch " + std::to_string(b));
+    for (int i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(hits[b][i].load(), 1) << "batch " << b << " task " << i;
+    }
+  }
+}
+
+#if RFDUMP_OBS_ENABLED
+TEST(ExecutorEdge, WorkersGaugeCountsLiveExecutors) {
+  // The gauge sums the widths of the executors alive right now: building a
+  // second executor adds to it, and destroying one takes its width back.
+  auto& workers =
+      rfdump::obs::Registry::Default().GetGauge("rfdump_executor_workers");
+  const double before = workers.value();
+  {
+    core::Executor wide(3);
+    EXPECT_EQ(workers.value(), before + 3);
+    {
+      core::Executor serial(1);
+      EXPECT_EQ(workers.value(), before + 4);
+    }
+    EXPECT_EQ(workers.value(), before + 3);
+  }
+  EXPECT_EQ(workers.value(), before);
+}
+#endif
 
 }  // namespace

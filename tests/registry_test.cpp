@@ -188,8 +188,12 @@ TEST(ProtocolRegistry, EveryRunUnitCommitFingerprintsItsOwnFrame) {
   // For each bundle with an analysis unit, render its own canned traffic and
   // run the units over it, each committing into a fresh report: some unit
   // must commit a non-empty ExactFingerprint. A fingerprint that skipped a
-  // protocol would read as zero yield (the benchmark's unit.*.yield).
+  // protocol would read as zero yield (the benchmark's unit.*.yield). Over
+  // noise alone every unit must return a false commit: that is what the
+  // benchmark counts as "not committing".
   const rfdump::core::AnalysisConfig analysis;
+  rfdump::emu::Ether quiet(rfdump::emu::Ether::Config{}, 7);
+  const auto noise = quiet.Render(40'000);
   for (const auto& bundle : ProtocolRegistry::Instance().bundles()) {
     if (!bundle.run_unit) continue;
     ASSERT_TRUE(bundle.canned_traffic) << bundle.name;
@@ -208,6 +212,12 @@ TEST(ProtocolRegistry, EveryRunUnitCommitFingerprintsItsOwnFrame) {
       fingerprinted |= !rfdump::testing::ExactFingerprint(unit_report).empty();
     }
     EXPECT_TRUE(fingerprinted) << bundle.name;
+
+    ctx.span = noise;
+    for (int unit = 0; unit < bundle.analysis_plan(analysis).units; ++unit) {
+      EXPECT_FALSE(bundle.run_unit(ctx, unit)) << bundle.name << " unit "
+                                               << unit;
+    }
   }
 }
 
