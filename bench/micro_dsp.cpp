@@ -155,9 +155,10 @@ BENCHMARK(BM_Awgn);
 
 // ------------------------------------------------- kernel speedup table
 // Times each dsp::simd kernel once through the scalar table and once through
-// the best supported tier (function pointers taken directly from Table(), so
-// the global dispatch state is untouched) and writes the per-kernel speedups
-// to BENCH_micro_dsp.json.
+// the dispatch tier — the best supported one, or the one RFDUMP_SIMD names
+// (function pointers taken directly from Table(), so the global dispatch
+// state is untouched) — and writes the per-kernel speedups to
+// BENCH_micro_dsp.json.
 
 namespace simd = rfdump::dsp::simd;
 
@@ -184,10 +185,10 @@ struct KernelRow {
 int RunSpeedupTable() {
   bench::PrintHeader("DSP kernel speedup: scalar conformance tier vs best "
                      "dispatch tier");
-  const simd::Tier best_tier = simd::DetectBestTier();
+  const simd::Tier best_tier = simd::ActiveTier();
   const simd::Kernels& scalar = simd::Table(simd::Tier::kScalar);
   const simd::Kernels& fast = simd::Table(best_tier);
-  std::printf("best tier: %s\n\n", simd::TierName(best_tier));
+  std::printf("dispatch tier: %s\n\n", simd::TierName(best_tier));
 
   constexpr std::size_t kN = 8192;
   const auto x = NoiseBuffer(kN, 42);

@@ -104,6 +104,7 @@ struct AnalysisUnitContext {
   std::int64_t start_sample = 0;
   const AnalysisConfig* analysis = nullptr;
   double noise_floor_power = 1.0;
+  /// The interval's supervised deadline; null (unsupervised) = unlimited.
   util::WorkBudget* budget = nullptr;
 };
 

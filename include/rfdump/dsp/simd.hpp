@@ -3,9 +3,11 @@
 //
 // Every kernel exists in up to three tiers — scalar (the conformance
 // reference), SSE2 (the x86-64 baseline) and AVX2 — selected once at runtime
-// from CPUID, the RFDUMP_SIMD environment variable, or ForceTier(). All tiers
+// from CPUID, the RFDUMP_SIMD environment variable, or ForceTier(). A kernel
+// is written twice: the scalar reference, and one vector template that the
+// SSE2 and AVX2 tiers both instantiate (src/dsp/simd_common.hpp). All tiers
 // of one kernel are *bit-identical* by construction: the kernels are written
-// against a fixed virtual-lane model (DESIGN.md §16.2), the scalar tier
+// against a fixed virtual-lane model (DESIGN.md §16), the scalar tier
 // executes the same IEEE-754 operation sequence per lane that the vector
 // tiers execute per register, and no tier is compiled with FMA contraction.
 // The differential harness and tests/dsp_simd_test.cpp enforce the contract.

@@ -6,11 +6,10 @@
 // despreads with a Barker correlator, recovers symbol timing, slices the
 // differential phase, descrambles, locks onto SYNC+SFD, validates the PLCP
 // header CRC and finally checks the MPDU FCS. CCK rates (5.5/11) are
-// detected via the PLCP header but not payload-decoded, matching the paper's
-// prototype limitation.
+// payload-decoded by codeword correlation unless Config::decode_cck is off
+// (the paper's prototype stopped at the PLCP header for these rates).
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
@@ -22,20 +21,13 @@ namespace rfdump::phy80211 {
 /// Result of decoding one frame.
 struct DecodedFrame {
   PlcpHeader header;
-  std::vector<std::uint8_t> mpdu;   // payload bytes including FCS (empty for
-                                    // rates the prototype cannot decode)
-  bool payload_decoded = false;     // false for CCK rates / truncated windows
+  std::vector<std::uint8_t> mpdu;   // payload bytes including FCS (empty
+                                    // when the payload was not decoded)
+  bool payload_decoded = false;     // false for truncated windows, and for
+                                    // CCK rates when decode_cck is off
   bool fcs_ok = false;              // CRC-32 over the decoded MPDU
   std::int64_t start_sample = 0;    // frame start within the scanned span
   std::int64_t end_sample = 0;      // one past the frame's last sample
-};
-
-/// Demodulator work/cost counters, used by the efficiency experiments: the
-/// number of front-end samples this instance has fully processed.
-struct DemodStats {
-  std::uint64_t samples_processed = 0;
-  std::uint64_t frames_decoded = 0;
-  std::uint64_t sync_attempts = 0;
 };
 
 class Demodulator {
@@ -60,19 +52,12 @@ class Demodulator {
   Demodulator();
   explicit Demodulator(Config config);
 
-  /// Scans `x` (8 Msps baseband) and decodes every frame found.
+  /// Scans `x` (8 Msps baseband) and decodes every frame found. Work is
+  /// counted in the rfdump_phy80211_*_total metrics.
   [[nodiscard]] std::vector<DecodedFrame> DecodeAll(dsp::const_sample_span x);
-
-  /// Decodes the first frame at/after the start of `x`, if any.
-  [[nodiscard]] std::optional<DecodedFrame> DecodeFirst(
-      dsp::const_sample_span x);
-
-  const DemodStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = {}; }
 
  private:
   Config config_;
-  DemodStats stats_;
 };
 
 }  // namespace rfdump::phy80211

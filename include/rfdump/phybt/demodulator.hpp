@@ -13,7 +13,6 @@
 // visible channel, mirroring the paper's setup.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
@@ -29,12 +28,6 @@ struct DecodedBtPacket {
   ParsedPacket packet;
   std::int64_t start_sample = 0;  // access code start in the scanned span
   std::int64_t end_sample = 0;
-};
-
-struct BtDemodStats {
-  std::uint64_t samples_processed = 0;  // front-end samples x channels
-  std::uint64_t sync_checks = 0;
-  std::uint64_t packets_decoded = 0;
 };
 
 class Demodulator {
@@ -62,19 +55,16 @@ class Demodulator {
   Demodulator();
   explicit Demodulator(Config config);
 
-  /// Scans the band and returns every decodable packet.
+  /// Scans the band and returns every decodable packet. Work is counted in
+  /// the rfdump_phybt_*_total metrics.
   [[nodiscard]] std::vector<DecodedBtPacket> DecodeAll(
       dsp::const_sample_span x);
-
-  const BtDemodStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = {}; }
 
  private:
   void ScanChannel(dsp::const_sample_span x, int idx,
                    std::vector<DecodedBtPacket>& out);
 
   Config config_;
-  BtDemodStats stats_;
 };
 
 }  // namespace rfdump::phybt

@@ -105,7 +105,7 @@ struct IntervalJob {
   std::vector<UnitOut> units;
 
   void RunUnit(int unit) {
-    if (check_budget && ctx.budget->expired()) {
+    if (check_budget && ctx.budget != nullptr && ctx.budget->expired()) {
       return;  // all units of an interval share its budget
     }
     UnitOut& out = units[static_cast<std::size_t>(unit)];
@@ -135,16 +135,14 @@ struct IntervalJob {
 // unit outcomes (first throwing unit in submission order wins the error
 // slot). A throwing unit never aborts its sibling units: they run to
 // completion and their results are kept ("one worker cannot poison
-// siblings"). Without a supervisor, every unit runs with an unarmed
-// (unlimited) budget and the first failing unit's exception is rethrown.
+// siblings"). Without a supervisor, units run with no budget (null, the
+// demodulators' "unlimited") and the first failing unit's exception is
+// rethrown.
 void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
                  Supervisor* sup, Executor* ex,
                  const std::vector<Detection>& intervals,
                  dsp::const_sample_span x, MonitorReport& report) {
   if (!analysis.demodulate) return;
-  // Shared by every task when unsupervised; WorkBudget::Charge is
-  // documented safe under concurrent callers.
-  util::WorkBudget unlimited;
   // At most one job per interval, reserved up front: tasks hold job
   // addresses, so the vector must never reallocate.
   std::vector<IntervalJob> jobs;
@@ -174,7 +172,6 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
     job.ctx.start_sample = d.start_sample;
     job.ctx.analysis = &analysis;
     job.ctx.noise_floor_power = noise_floor_power;
-    job.ctx.budget = &unlimited;
     if (sup != nullptr) {
       job.admission =
           sup->Admit(d.protocol, d.start_sample, d.end_sample, job.ctx.span);

@@ -10,6 +10,90 @@
 
 namespace rfdump::dsp::simd {
 
+// --------------------------------------------------------- the scalar tier
+//
+// Whole-range bodies of the conformance reference: the per-element helpers
+// of simd_common.hpp applied in order, and the canonical lane models
+// executed one lane at a time.
+
+namespace detail {
+namespace {
+
+void ScalarCorrelateChips(const cfloat* x, std::size_t n_out,
+                          const int* chips, std::size_t n_chips, cfloat* out) {
+  for (std::size_t i = 0; i < n_out; ++i) {
+    out[i] = ScalarCorrelateOne(x + i, chips, n_chips);
+  }
+}
+
+void ScalarFirComplex(const cfloat* work, std::size_t n_out, const float* taps,
+                      std::size_t n_taps, cfloat* out) {
+  for (std::size_t n = 0; n < n_out; ++n) {
+    out[n] = ScalarFirOne(work + n, taps, n_taps);
+  }
+}
+
+void ScalarPhaseDiff(const cfloat* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    out[i] = ScalarPhaseDiffOne(x[i], x[i + 1]);
+  }
+}
+
+void ScalarInstantPhase(const cfloat* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = ScalarInstantPhaseOne(x[i]);
+}
+
+void ScalarPowerPlane(const cfloat* x, std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = ScalarFinitePower(x[i]);
+}
+
+/// Canonical 4-lane double reduction (DESIGN.md §16): lane j takes body
+/// elements with index % 4 == j.
+double ScalarSumFinitePower(const cfloat* x, std::size_t n) {
+  double l[4] = {};
+  const std::size_t body = n - n % 4;
+  for (std::size_t i = 0; i < body; i += 4) AddPowerGroup4(l, x + i);
+  return FinishSumFinitePower(l, x, body, n);
+}
+
+void ScalarHealthScan(const cfloat* x, std::size_t n, float rail,
+                      std::uint64_t* nonfinite, std::uint64_t* saturated) {
+  std::uint64_t nf = 0, sat = 0;
+  for (std::size_t i = 0; i < n; ++i) ScalarHealthOne(x[i], rail, nf, sat);
+  *nonfinite += nf;
+  *saturated += sat;
+}
+
+/// Canonical 8-lane float reduction of x[i]*conj(x[i-1]) (DESIGN.md §16):
+/// product j (j = i-1) of the body goes to lane j % 8.
+cfloat ScalarConjMulSum(const cfloat* x, std::size_t n) {
+  if (n < 2) return {0.0f, 0.0f};
+  float re[8] = {}, im[8] = {};
+  const std::size_t products = n - 1;
+  const std::size_t body = products - products % 8;
+  for (std::size_t j = 0; j < body; j += 8) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      float pr, pi;
+      ScalarConjProduct(x[j + l + 1], x[j + l], pr, pi);
+      re[l] += pr;
+      im[l] += pi;
+    }
+  }
+  return FinishConjMulSum(re, im, x, body, products);
+}
+
+}  // namespace
+
+const Kernels kScalarKernels = {
+    Tier::kScalar,        &ScalarCorrelateChips, &ScalarFirComplex,
+    &ScalarPhaseDiff,     &ScalarInstantPhase,   &ScalarSumFinitePower,
+    &ScalarPowerPlane,    &ScalarHealthScan,     &ScalarConjMulSum,
+};
+
+}  // namespace detail
+
+// ---------------------------------------------------------------- dispatch
+
 #if defined(__x86_64__) || defined(__i386__)
 #define RFDUMP_SIMD_X86 1
 #else

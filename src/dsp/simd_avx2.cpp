@@ -1,18 +1,19 @@
-// AVX2 tier of the dsp::simd kernel table. This TU is compiled with -mavx2
-// ONLY — never -mfma — so FMA contraction is impossible and every multiply
-// and add rounds separately, exactly like the scalar tier (DESIGN.md §16).
+// AVX2 tier of the dsp::simd kernel table: the 8-lane traits the shared
+// kernel templates (simd_common.hpp) instantiate. This TU is compiled with
+// -mavx2 ONLY — never -mfma — so FMA contraction is impossible and every
+// multiply and add rounds separately, exactly like the scalar tier
+// (DESIGN.md §16).
 //
 // The in-register deinterleave (_mm256_shuffle_ps acting per 128-bit lane)
-// produces element order [0,1,4,5,2,3,6,7]. Per-element kernels undo it with
-// a self-inverse _mm256_permutevar8x32_ps before storing; reductions fold
-// the permutation into the canonical lane-combine order instead.
+// produces element order [0,1,4,5,2,3,6,7]. StoreOrdered undoes it with the
+// self-inverse _mm256_permutevar8x32_ps, and AccumulateD4 regroups the halves
+// so each double lane still adds its elements in ascending order.
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
 
 #include <immintrin.h>
 
 #include <cstddef>
-#include <cstdint>
 
 #include "simd_common.hpp"
 
@@ -29,6 +30,7 @@ struct AvxTraits {
   static VF Mul(VF a, VF b) { return _mm256_mul_ps(a, b); }
   static VF Div(VF a, VF b) { return _mm256_div_ps(a, b); }
   static VF BitAnd(VF a, VF b) { return _mm256_and_ps(a, b); }
+  static VF BitOr(VF a, VF b) { return _mm256_or_ps(a, b); }
   static VF BitXor(VF a, VF b) { return _mm256_xor_ps(a, b); }
   static VF Abs(VF a) {
     return _mm256_and_ps(a, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF)));
@@ -36,217 +38,53 @@ struct AvxTraits {
   static VF CmpGT(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
   static VF CmpLT(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
   static VF CmpEQ(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_EQ_OQ); }
+  static VF CmpGE(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+  static int MoveMask(VF a) { return _mm256_movemask_ps(a); }
   static VF Blend(VF mask, VF a, VF b) { return _mm256_blendv_ps(b, a, mask); }
+
+  static VF Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, VF v) { _mm256_storeu_ps(p, v); }
+  /// re/im planes in element order [0,1,4,5,2,3,6,7].
+  static void Deinterleave(const cfloat* x, VF& re, VF& im) {
+    const __m256 v0 = _mm256_loadu_ps(F(x));      // elements 0..3 interleaved
+    const __m256 v1 = _mm256_loadu_ps(F(x) + 8);  // elements 4..7 interleaved
+    re = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
+    im = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));
+  }
+  static void StoreOrdered(float* p, VF v) {
+    const __m256i perm = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
+    _mm256_storeu_ps(p, _mm256_permutevar8x32_ps(v, perm));
+  }
+
+  using VD4 = __m256d;
+  static VD4 ZeroD4() { return _mm256_setzero_pd(); }
+  static VD4 AccumulateD4(VD4 acc, VF p) {
+    // p holds elements [0,1,4,5 | 2,3,6,7]; as 64-bit pairs, unpacklo gives
+    // elements 0..3 and unpackhi elements 4..7.
+    const __m128d lo = _mm_castps_pd(_mm256_castps256_ps128(p));
+    const __m128d hi = _mm_castps_pd(_mm256_extractf128_ps(p, 1));
+    acc = _mm256_add_pd(
+        acc, _mm256_cvtps_pd(_mm_castpd_ps(_mm_unpacklo_pd(lo, hi))));
+    return _mm256_add_pd(
+        acc, _mm256_cvtps_pd(_mm_castpd_ps(_mm_unpackhi_pd(lo, hi))));
+  }
+  static void StoreD4(double* out, VD4 acc) { _mm256_storeu_pd(out, acc); }
 };
-
-inline const float* F(const cfloat* p) {
-  return reinterpret_cast<const float*>(p);
-}
-inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
-
-/// Element order of the shuffle-based deinterleave, and (being self-inverse)
-/// also the permutation that restores element order before a store.
-inline __m256i DeintPerm() { return _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7); }
-
-/// Loads x[i..i+7] and splits into re/im planes in [0,1,4,5,2,3,6,7] order.
-inline void Deinterleave8(const cfloat* x, __m256& re, __m256& im) {
-  const __m256 v0 = _mm256_loadu_ps(F(x));      // elements 0..3 interleaved
-  const __m256 v1 = _mm256_loadu_ps(F(x) + 8);  // elements 4..7 interleaved
-  re = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-  im = _mm256_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));
-}
-
-inline void ConjProduct8(__m256 ar, __m256 ai, __m256 br, __m256 bi,
-                         __m256& re, __m256& im) {
-  re = _mm256_add_ps(_mm256_mul_ps(ar, br), _mm256_mul_ps(ai, bi));
-  im = _mm256_sub_ps(_mm256_mul_ps(ai, br), _mm256_mul_ps(ar, bi));
-}
-
-inline __m256 FinitePower8(__m256 re, __m256 im) {
-  const __m256 p =
-      _mm256_add_ps(_mm256_mul_ps(re, re), _mm256_mul_ps(im, im));
-  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  return _mm256_and_ps(_mm256_cmp_ps(p, inf, _CMP_LT_OQ), p);
-}
-
-void Avx2CorrelateChips(const cfloat* x, std::size_t n_out, const int* chips,
-                        std::size_t n_chips, cfloat* out) {
-  const std::size_t body = n_out - n_out % 4;  // 4 complex outputs per __m256
-  for (std::size_t i = 0; i < body; i += 4) {
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < n_chips; ++k) {
-      const __m256 c = _mm256_set1_ps(static_cast<float>(chips[k]));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(c, _mm256_loadu_ps(F(x + i + k))));
-    }
-    _mm256_storeu_ps(F(out + i), acc);
-  }
-  for (std::size_t i = body; i < n_out; ++i) {
-    out[i] = ScalarCorrelateOne(x + i, chips, n_chips);
-  }
-}
-
-void Avx2FirComplex(const cfloat* work, std::size_t n_out, const float* taps,
-                    std::size_t n_taps, cfloat* out) {
-  const std::size_t body = n_out - n_out % 4;
-  for (std::size_t n = 0; n < body; n += 4) {
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < n_taps; ++k) {
-      const __m256 t = _mm256_set1_ps(taps[k]);
-      const cfloat* v = work + n + (n_taps - 1 - k);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(t, _mm256_loadu_ps(F(v))));
-    }
-    _mm256_storeu_ps(F(out + n), acc);
-  }
-  for (std::size_t n = body; n < n_out; ++n) {
-    out[n] = ScalarFirOne(work + n, taps, n_taps);
-  }
-}
-
-void Avx2PhaseDiff(const cfloat* x, std::size_t n, float* out) {
-  const __m256i perm = DeintPerm();
-  const std::size_t n_out = n == 0 ? 0 : n - 1;
-  const std::size_t body = n_out - n_out % 8;
-  for (std::size_t i = 0; i < body; i += 8) {
-    __m256 pr, pi, cr, ci, zr, zi;
-    Deinterleave8(x + i, pr, pi);
-    Deinterleave8(x + i + 1, cr, ci);
-    ConjProduct8(cr, ci, pr, pi, zr, zi);
-    const __m256 r = Atan2<AvxTraits>(zi, zr);
-    _mm256_storeu_ps(out + i, _mm256_permutevar8x32_ps(r, perm));
-  }
-  for (std::size_t i = body; i < n_out; ++i) {
-    out[i] = ScalarPhaseDiffOne(x[i], x[i + 1]);
-  }
-}
-
-void Avx2InstantPhase(const cfloat* x, std::size_t n, float* out) {
-  const __m256i perm = DeintPerm();
-  const std::size_t body = n - n % 8;
-  for (std::size_t i = 0; i < body; i += 8) {
-    __m256 re, im;
-    Deinterleave8(x + i, re, im);
-    const __m256 r = Atan2<AvxTraits>(im, re);
-    _mm256_storeu_ps(out + i, _mm256_permutevar8x32_ps(r, perm));
-  }
-  for (std::size_t i = body; i < n; ++i) out[i] = ScalarInstantPhaseOne(x[i]);
-}
-
-double Avx2SumFinitePower(const cfloat* x, std::size_t n) {
-  // Canonical 4-lane double model: one __m256d accumulator, lane j takes
-  // elements i % 4 == j. The 4-wide power vector is built from a 128-bit
-  // deinterleave, so the lanes are in element order here (no permutation).
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t body = n - n % 4;
-  for (std::size_t i = 0; i < body; i += 4) {
-    const __m128 v0 = _mm_loadu_ps(F(x + i));
-    const __m128 v1 = _mm_loadu_ps(F(x + i) + 4);
-    const __m128 re = _mm_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 im = _mm_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));
-    const __m128 p = _mm_add_ps(_mm_mul_ps(re, re), _mm_mul_ps(im, im));
-    const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-    const __m128 fp = _mm_and_ps(_mm_cmplt_ps(p, inf), p);
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(fp));
-  }
-  alignas(32) double a[4];
-  _mm256_store_pd(a, acc);
-  double sum = (a[0] + a[2]) + (a[1] + a[3]);
-  for (std::size_t i = body; i < n; ++i) {
-    sum += static_cast<double>(ScalarFinitePower(x[i]));
-  }
-  return sum;
-}
-
-void Avx2PowerPlane(const cfloat* x, std::size_t n, float* out) {
-  const __m256i perm = DeintPerm();
-  const std::size_t body = n - n % 8;
-  for (std::size_t i = 0; i < body; i += 8) {
-    __m256 re, im;
-    Deinterleave8(x + i, re, im);
-    const __m256 p = FinitePower8(re, im);
-    _mm256_storeu_ps(out + i, _mm256_permutevar8x32_ps(p, perm));
-  }
-  for (std::size_t i = body; i < n; ++i) out[i] = ScalarFinitePower(x[i]);
-}
-
-void Avx2HealthScan(const cfloat* x, std::size_t n, float rail,
-                    std::uint64_t* nonfinite, std::uint64_t* saturated) {
-  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  const __m256 rail_v = _mm256_set1_ps(rail);
-  std::uint64_t nf = 0, sat = 0;
-  const std::size_t body = n - n % 8;
-  for (std::size_t i = 0; i < body; i += 8) {
-    __m256 re, im;
-    Deinterleave8(x + i, re, im);  // lane order irrelevant: we only count
-    const __m256 are = AvxTraits::Abs(re);
-    const __m256 aim = AvxTraits::Abs(im);
-    const __m256 finite = _mm256_and_ps(_mm256_cmp_ps(are, inf, _CMP_LT_OQ),
-                                        _mm256_cmp_ps(aim, inf, _CMP_LT_OQ));
-    const __m256 hot = _mm256_or_ps(_mm256_cmp_ps(are, rail_v, _CMP_GE_OQ),
-                                    _mm256_cmp_ps(aim, rail_v, _CMP_GE_OQ));
-    const int fin_m = _mm256_movemask_ps(finite);
-    const int sat_m = _mm256_movemask_ps(_mm256_and_ps(finite, hot));
-    nf += static_cast<unsigned>(__builtin_popcount(~fin_m & 0xFF));
-    sat += static_cast<unsigned>(__builtin_popcount(sat_m));
-  }
-  for (std::size_t i = body; i < n; ++i) ScalarHealthOne(x[i], rail, nf, sat);
-  *nonfinite += nf;
-  *saturated += sat;
-}
-
-cfloat Avx2ConjMulSum(const cfloat* x, std::size_t n) {
-  if (n < 2) return {0.0f, 0.0f};
-  // Physical accumulator lane l holds canonical lane DeintPerm[l], i.e. the
-  // register is [L0,L1,L4,L5,L2,L3,L6,L7]; the store below indexes
-  // accordingly to realize the canonical combine.
-  __m256 re_acc = _mm256_setzero_ps(), im_acc = _mm256_setzero_ps();
-  const std::size_t products = n - 1;
-  const std::size_t body = products - products % 8;
-  for (std::size_t j = 0; j < body; j += 8) {
-    __m256 pr, pi, cr, ci, zr, zi;
-    Deinterleave8(x + j, pr, pi);
-    Deinterleave8(x + j + 1, cr, ci);
-    ConjProduct8(cr, ci, pr, pi, zr, zi);
-    re_acc = _mm256_add_ps(re_acc, zr);
-    im_acc = _mm256_add_ps(im_acc, zi);
-  }
-  alignas(32) float r[8], im[8];
-  _mm256_store_ps(r, re_acc);
-  _mm256_store_ps(im, im_acc);
-  // Physical index of canonical lane: L0=0 L1=1 L2=4 L3=5 L4=2 L5=3 L6=6 L7=7.
-  // Canonical combine ((l0+l2)+(l4+l6)) + ((l1+l3)+(l5+l7)):
-  float sr = ((r[0] + r[4]) + (r[2] + r[6])) + ((r[1] + r[5]) + (r[3] + r[7]));
-  float si =
-      ((im[0] + im[4]) + (im[2] + im[6])) + ((im[1] + im[5]) + (im[3] + im[7]));
-  for (std::size_t j = body; j < products; ++j) {
-    float pr, pi;
-    ConjProduct(x[j + 1], x[j], pr, pi);
-    sr += pr;
-    si += pi;
-  }
-  return {sr, si};
-}
 
 }  // namespace
 
-const Kernels kAvx2Kernels = {
-    Tier::kAvx2,       &Avx2CorrelateChips, &Avx2FirComplex,
-    &Avx2PhaseDiff,    &Avx2InstantPhase,   &Avx2SumFinitePower,
-    &Avx2PowerPlane,   &Avx2HealthScan,     &Avx2ConjMulSum,
-};
-
+const Kernels kAvx2Kernels = MakeKernels<AvxTraits>(Tier::kAvx2);
 const bool kAvx2Built = true;
 
 }  // namespace rfdump::dsp::simd::detail
 
-#else
+#elif defined(__x86_64__) || defined(__i386__)
 // Built without -mavx2 (a toolchain where the per-source flag doesn't
 // apply): keep the dispatcher linking but report the tier as unbuilt so
 // TierSupported(kAvx2) is false regardless of what CPUID says.
-#if defined(__x86_64__) || defined(__i386__)
 #include "simd_common.hpp"
 namespace rfdump::dsp::simd::detail {
-const Kernels kAvx2Kernels = kScalarKernels;
+const Kernels kAvx2Kernels = {};
 const bool kAvx2Built = false;
 }  // namespace rfdump::dsp::simd::detail
 #endif
-#endif  // x86 && AVX2

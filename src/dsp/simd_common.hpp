@@ -1,14 +1,19 @@
 #pragma once
 // Tier-shared implementation of the dsp::simd kernels (DESIGN.md §16).
 //
-// Every kernel is written ONCE as a template over a vector-traits class; the
-// scalar tier instantiates it with 1-lane traits whose operations are plain
-// IEEE-754 float ops (including *bitwise* selects mirroring blendv), and the
-// SSE2/AVX2 translation units instantiate it with intrinsic-backed traits.
-// Because IEEE +,-,*,/ are correctly rounded and therefore identical
-// per-lane on every tier, and because the lane model (which element lands in
-// which accumulator, and the exact combine tree) is fixed here once, all
-// tiers produce bit-identical output. Two rules keep this true:
+// Each kernel exists twice: a scalar reference (the scalar tier, built in
+// simd.cpp, and the per-element tail helpers below) and ONE vector template
+// over a tier-traits class. simd_sse2.cpp and simd_avx2.cpp define only their
+// traits and instantiate every template into their Kernels table. The traits
+// supply the lane math (plain IEEE-754 ops and *bitwise* selects mirroring
+// blendv) plus the few operations whose shape depends on the register:
+// interleaved load/store, deinterleave into the tier's natural lane order and
+// the StoreOrdered that undoes it, compare-to-bitmask, and the 4-double-lane
+// accumulate of sum_finite_power. Because IEEE +,-,*,/ are correctly rounded
+// and therefore identical per lane on every tier, and because the lane model
+// (which element lands in which accumulator, and the exact combine tree) is
+// fixed here once, all tiers produce bit-identical output. Two rules keep
+// this true:
 //
 //   1. No tier may be compiled with FMA contraction (the AVX2 TU is built
 //      with -mavx2 but NOT -mfma; intrinsics use separate mul + add).
@@ -19,6 +24,15 @@
 // Per-output kernels (correlate_chips, fir_complex) accumulate in ascending
 // k order per output, which is the exact order of the pre-SIMD scalar code:
 // those kernels are additionally bit-identical to the historical seed path.
+//
+// Linkage rule: apart from the tier-table declarations, everything here has
+// internal linkage. Each tier TU compiles its own copy with its own flags. A
+// helper with external linkage is a weak symbol in every TU that emits it,
+// the -mavx2 one included, and the linker may keep that VEX-encoded copy for
+// the SSE2 tier's tails: SIGILL on a CPU without AVX. The
+// `dsp_simd_tier_linkage` test checks the tier objects export nothing but
+// their table. (`inline` below only keeps TUs that skip a helper free of
+// unused-function warnings.)
 
 #include <bit>
 #include <cstddef>
@@ -29,6 +43,16 @@
 #include "rfdump/dsp/simd.hpp"
 
 namespace rfdump::dsp::simd::detail {
+
+// One definition each: scalar in simd.cpp, SSE2/AVX2 in their own TUs.
+extern const Kernels kScalarKernels;
+#if defined(__x86_64__) || defined(__i386__)
+extern const Kernels kSse2Kernels;
+extern const Kernels kAvx2Kernels;
+extern const bool kAvx2Built;  // false if simd_avx2.cpp lost its -mavx2 flag
+#endif
+
+namespace {
 
 // ------------------------------------------------------------ scalar traits
 //
@@ -125,6 +149,15 @@ typename T::VF Atan2(typename T::VF y, typename T::VF x) {
   return r;
 }
 
+/// z = a * conj(b), naive product (no __mulsc3 NaN recovery): for finite
+/// inputs this matches std::complex operator* bit-for-bit.
+template <class T>
+void ConjProduct(typename T::VF ar, typename T::VF ai, typename T::VF br,
+                 typename T::VF bi, typename T::VF& re, typename T::VF& im) {
+  re = T::Add(T::Mul(ar, br), T::Mul(ai, bi));
+  im = T::Sub(T::Mul(ai, br), T::Mul(ar, bi));
+}
+
 // ------------------------------------------------ per-element scalar helpers
 //
 // Shared by the scalar tier (whole range) and by the vector tiers (tails).
@@ -136,15 +169,8 @@ inline float ScalarAtan2(float y, float x) {
   return Atan2<ScalarTraits>(y, x);
 }
 
-/// z = a * conj(b), naive product (no __mulsc3 NaN recovery): for finite
-/// inputs this matches std::complex operator* bit-for-bit.
-inline void ConjProduct(cfloat a, cfloat b, float& re, float& im) {
-  const float t0 = a.real() * b.real();
-  const float t1 = a.imag() * b.imag();
-  const float t2 = a.imag() * b.real();
-  const float t3 = a.real() * b.imag();
-  re = t0 + t1;
-  im = t2 - t3;
+inline void ScalarConjProduct(cfloat a, cfloat b, float& re, float& im) {
+  ConjProduct<ScalarTraits>(a.real(), a.imag(), b.real(), b.imag(), re, im);
 }
 
 inline cfloat ScalarCorrelateOne(const cfloat* x, const int* chips,
@@ -171,7 +197,7 @@ inline cfloat ScalarFirOne(const cfloat* x, const float* taps,
 
 inline float ScalarPhaseDiffOne(cfloat prev, cfloat cur) {
   float re, im;
-  ConjProduct(cur, prev, re, im);
+  ScalarConjProduct(cur, prev, re, im);
   return ScalarAtan2(im, re);
 }
 
@@ -201,108 +227,236 @@ inline void ScalarHealthOne(cfloat v, float rail, std::uint64_t& nonfinite,
   }
 }
 
-// ----------------------------------------------------- whole-range scalar
-// Scalar-tier kernel bodies (also the reference the tests sweep against).
+// ------------------------------------------------ canonical reduction tails
+//
+// The lane combine and sequential tail of the two reductions (DESIGN.md
+// §16), shared by the scalar tier and the vector templates so the combine
+// tree is written once.
 
-inline void ScalarCorrelateChips(const cfloat* x, std::size_t n_out,
-                                 const int* chips, std::size_t n_chips,
-                                 cfloat* out) {
-  for (std::size_t i = 0; i < n_out; ++i) {
-    out[i] = ScalarCorrelateOne(x + i, chips, n_chips);
+/// 4-lane double model, one group: x[j] goes to lane l[j].
+inline void AddPowerGroup4(double* l, const cfloat* x) {
+  for (std::size_t j = 0; j < 4; ++j) {
+    l[j] += static_cast<double>(ScalarFinitePower(x[j]));
   }
 }
 
-inline void ScalarFirComplex(const cfloat* work, std::size_t n_out,
-                             const float* taps, std::size_t n_taps,
-                             cfloat* out) {
-  for (std::size_t n = 0; n < n_out; ++n) {
-    out[n] = ScalarFirOne(work + n, taps, n_taps);
-  }
-}
-
-inline void ScalarPhaseDiff(const cfloat* x, std::size_t n, float* out) {
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    out[i] = ScalarPhaseDiffOne(x[i], x[i + 1]);
-  }
-}
-
-inline void ScalarInstantPhase(const cfloat* x, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = ScalarInstantPhaseOne(x[i]);
-}
-
-inline void ScalarPowerPlane(const cfloat* x, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = ScalarFinitePower(x[i]);
-}
-
-/// Canonical 4-lane double reduction (DESIGN.md §16.2): lane j takes body
-/// elements with index % 4 == j; combine (l0+l2)+(l1+l3); sequential tail.
-inline double ScalarSumFinitePower(const cfloat* x, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  const std::size_t body = n - n % 4;
-  for (std::size_t i = 0; i < body; i += 4) {
-    l0 += static_cast<double>(ScalarFinitePower(x[i + 0]));
-    l1 += static_cast<double>(ScalarFinitePower(x[i + 1]));
-    l2 += static_cast<double>(ScalarFinitePower(x[i + 2]));
-    l3 += static_cast<double>(ScalarFinitePower(x[i + 3]));
-  }
-  double sum = (l0 + l2) + (l1 + l3);
+/// 4-lane double model: lanes l[0..3] hold body [0, body); combine
+/// (l0+l2)+(l1+l3), then add x[body, n) sequentially.
+inline double FinishSumFinitePower(const double* l, const cfloat* x,
+                                   std::size_t body, std::size_t n) {
+  double sum = (l[0] + l[2]) + (l[1] + l[3]);
   for (std::size_t i = body; i < n; ++i) {
     sum += static_cast<double>(ScalarFinitePower(x[i]));
   }
   return sum;
 }
 
-inline void ScalarHealthScan(const cfloat* x, std::size_t n, float rail,
-                             std::uint64_t* nonfinite,
-                             std::uint64_t* saturated) {
-  std::uint64_t nf = 0, sat = 0;
-  for (std::size_t i = 0; i < n; ++i) ScalarHealthOne(x[i], rail, nf, sat);
-  *nonfinite += nf;
-  *saturated += sat;
-}
-
-/// Canonical 8-lane float reduction of x[i]*conj(x[i-1]) (DESIGN.md §16.2):
-/// product j (j = i-1) of the body goes to lane j % 8; lanes combine as
-/// ((l0+l2)+(l4+l6)) + ((l1+l3)+(l5+l7)); sequential tail after the combine.
-inline cfloat ScalarConjMulSum(const cfloat* x, std::size_t n) {
-  if (n < 2) return {0.0f, 0.0f};
-  float re[8] = {}, im[8] = {};
-  const std::size_t products = n - 1;
-  const std::size_t body = products - products % 8;
-  for (std::size_t j = 0; j < body; j += 8) {
-    for (std::size_t l = 0; l < 8; ++l) {
-      float pr, pi;
-      ConjProduct(x[j + l + 1], x[j + l], pr, pi);
-      re[l] += pr;
-      im[l] += pi;
-    }
-  }
+/// 8-lane float model: lanes re/im[0..7] hold products [0, body); combine
+/// ((l0+l2)+(l4+l6)) + ((l1+l3)+(l5+l7)), then add products [body, products)
+/// sequentially.
+inline cfloat FinishConjMulSum(const float* re, const float* im,
+                               const cfloat* x, std::size_t body,
+                               std::size_t products) {
   float sr = ((re[0] + re[2]) + (re[4] + re[6])) +
              ((re[1] + re[3]) + (re[5] + re[7]));
   float si = ((im[0] + im[2]) + (im[4] + im[6])) +
              ((im[1] + im[3]) + (im[5] + im[7]));
   for (std::size_t j = body; j < products; ++j) {
     float pr, pi;
-    ConjProduct(x[j + 1], x[j], pr, pi);
+    ScalarConjProduct(x[j + 1], x[j], pr, pi);
     sr += pr;
     si += pi;
   }
   return {sr, si};
 }
 
-// Tier tables with external linkage: scalar is defined below (constexpr in
-// this header); SSE2/AVX2 are defined in their arch-specific TUs. These
-// declarations give the out-of-line definitions external linkage.
-#if defined(__x86_64__) || defined(__i386__)
-extern const Kernels kSse2Kernels;
-extern const Kernels kAvx2Kernels;
-extern const bool kAvx2Built;  // false if simd_avx2.cpp lost its -mavx2 flag
-#endif
+// -------------------------------------------------------- vector templates
+//
+// The SSE2 and AVX2 kernel bodies, one per kernel. Beyond the lane math of
+// ScalarTraits, a vector traits class T provides:
+//   Load/Store(p)         kWidth floats, unaligned (kWidth/2 interleaved
+//                         complex samples);
+//   Deinterleave(x,re,im) kWidth samples split into re/im planes, in the
+//                         tier's natural lane order;
+//   StoreOrdered(p, v)    stores a deinterleaved plane in element order;
+//   BitOr, CmpGE, MoveMask(v) -> int (lane i's sign bit at bit i);
+//   VD4, ZeroD4, StoreD4  4 double lanes for sum_finite_power, and
+//   AccumulateD4(acc, p)  which adds a deinterleaved power plane to them,
+//                         element i to lane i % 4, in ascending element
+//                         order.
 
-inline constexpr Kernels kScalarKernels = {
-    Tier::kScalar,        &ScalarCorrelateChips, &ScalarFirComplex,
-    &ScalarPhaseDiff,     &ScalarInstantPhase,   &ScalarSumFinitePower,
-    &ScalarPowerPlane,    &ScalarHealthScan,     &ScalarConjMulSum,
-};
+template <class T>
+typename T::VF FinitePower(typename T::VF re, typename T::VF im) {
+  const auto p = T::Add(T::Mul(re, re), T::Mul(im, im));
+  const auto inf = T::Set1(std::numeric_limits<float>::infinity());
+  return T::BitAnd(T::CmpLT(p, inf), p);
+}
 
+inline const float* F(const cfloat* p) {
+  return reinterpret_cast<const float*>(p);
+}
+inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
+
+template <class T>
+void CorrelateChips(const cfloat* x, std::size_t n_out, const int* chips,
+                    std::size_t n_chips, cfloat* out) {
+  constexpr std::size_t kOuts = T::kWidth / 2;  // complex outputs per register
+  const std::size_t body = n_out - n_out % kOuts;
+  for (std::size_t i = 0; i < body; i += kOuts) {
+    auto acc = T::Set1(0.0f);
+    for (std::size_t k = 0; k < n_chips; ++k) {
+      const auto c = T::Set1(static_cast<float>(chips[k]));
+      acc = T::Add(acc, T::Mul(c, T::Load(F(x + i + k))));
+    }
+    T::Store(F(out + i), acc);
+  }
+  for (std::size_t i = body; i < n_out; ++i) {
+    out[i] = ScalarCorrelateOne(x + i, chips, n_chips);
+  }
+}
+
+template <class T>
+void FirComplex(const cfloat* work, std::size_t n_out, const float* taps,
+                std::size_t n_taps, cfloat* out) {
+  constexpr std::size_t kOuts = T::kWidth / 2;
+  const std::size_t body = n_out - n_out % kOuts;
+  for (std::size_t n = 0; n < body; n += kOuts) {
+    auto acc = T::Set1(0.0f);
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      const cfloat* v = work + n + (n_taps - 1 - k);
+      acc = T::Add(acc, T::Mul(T::Set1(taps[k]), T::Load(F(v))));
+    }
+    T::Store(F(out + n), acc);
+  }
+  for (std::size_t n = body; n < n_out; ++n) {
+    out[n] = ScalarFirOne(work + n, taps, n_taps);
+  }
+}
+
+template <class T>
+void PhaseDiff(const cfloat* x, std::size_t n, float* out) {
+  const std::size_t n_out = n == 0 ? 0 : n - 1;
+  const std::size_t body = n_out - n_out % T::kWidth;
+  for (std::size_t i = 0; i < body; i += T::kWidth) {
+    typename T::VF pr, pi, cr, ci, zr, zi;
+    T::Deinterleave(x + i, pr, pi);
+    T::Deinterleave(x + i + 1, cr, ci);
+    ConjProduct<T>(cr, ci, pr, pi, zr, zi);
+    T::StoreOrdered(out + i, Atan2<T>(zi, zr));
+  }
+  for (std::size_t i = body; i < n_out; ++i) {
+    out[i] = ScalarPhaseDiffOne(x[i], x[i + 1]);
+  }
+}
+
+template <class T>
+void InstantPhase(const cfloat* x, std::size_t n, float* out) {
+  const std::size_t body = n - n % T::kWidth;
+  for (std::size_t i = 0; i < body; i += T::kWidth) {
+    typename T::VF re, im;
+    T::Deinterleave(x + i, re, im);
+    T::StoreOrdered(out + i, Atan2<T>(im, re));
+  }
+  for (std::size_t i = body; i < n; ++i) out[i] = ScalarInstantPhaseOne(x[i]);
+}
+
+/// Canonical 4-lane double model; a tier wider than 4 finishes the last
+/// whole group of 4 in scalar lanes, which round exactly like vector lanes.
+template <class T>
+double SumFinitePower(const cfloat* x, std::size_t n) {
+  auto acc = T::ZeroD4();
+  const std::size_t vbody = n - n % T::kWidth;
+  for (std::size_t i = 0; i < vbody; i += T::kWidth) {
+    typename T::VF re, im;
+    T::Deinterleave(x + i, re, im);
+    acc = T::AccumulateD4(acc, FinitePower<T>(re, im));
+  }
+  alignas(32) double l[4];
+  T::StoreD4(l, acc);
+  const std::size_t body = n - n % 4;
+  for (std::size_t i = vbody; i < body; i += 4) AddPowerGroup4(l, x + i);
+  return FinishSumFinitePower(l, x, body, n);
+}
+
+template <class T>
+void PowerPlane(const cfloat* x, std::size_t n, float* out) {
+  const std::size_t body = n - n % T::kWidth;
+  for (std::size_t i = 0; i < body; i += T::kWidth) {
+    typename T::VF re, im;
+    T::Deinterleave(x + i, re, im);
+    T::StoreOrdered(out + i, FinitePower<T>(re, im));
+  }
+  for (std::size_t i = body; i < n; ++i) out[i] = ScalarFinitePower(x[i]);
+}
+
+template <class T>
+void HealthScan(const cfloat* x, std::size_t n, float rail,
+                std::uint64_t* nonfinite, std::uint64_t* saturated) {
+  constexpr int kAllLanes = (1 << T::kWidth) - 1;
+  const auto inf = T::Set1(std::numeric_limits<float>::infinity());
+  const auto rail_v = T::Set1(rail);
+  std::uint64_t nf = 0, sat = 0;
+  const std::size_t body = n - n % T::kWidth;
+  for (std::size_t i = 0; i < body; i += T::kWidth) {
+    typename T::VF re, im;
+    T::Deinterleave(x + i, re, im);  // lane order irrelevant: we only count
+    const auto are = T::Abs(re);
+    const auto aim = T::Abs(im);
+    // finite: both |re| < inf and |im| < inf (NaN fails the ordered compare).
+    const auto finite = T::BitAnd(T::CmpLT(are, inf), T::CmpLT(aim, inf));
+    const auto hot = T::BitOr(T::CmpGE(are, rail_v), T::CmpGE(aim, rail_v));
+    const int fin_m = T::MoveMask(finite);
+    const int sat_m = T::MoveMask(T::BitAnd(finite, hot));
+    nf += static_cast<unsigned>(__builtin_popcount(~fin_m & kAllLanes));
+    sat += static_cast<unsigned>(__builtin_popcount(sat_m));
+  }
+  for (std::size_t i = body; i < n; ++i) ScalarHealthOne(x[i], rail, nf, sat);
+  *nonfinite += nf;
+  *saturated += sat;
+}
+
+/// Canonical 8-lane float model: 8 / kWidth register pairs per group of 8
+/// products; StoreOrdered puts every accumulator lane at its canonical index.
+template <class T>
+cfloat ConjMulSum(const cfloat* x, std::size_t n) {
+  if (n < 2) return {0.0f, 0.0f};
+  constexpr std::size_t kW = T::kWidth;
+  constexpr std::size_t kRegs = 8 / kW;
+  static_assert(kRegs * kW == 8, "the lane model has 8 float lanes");
+  typename T::VF acc_re[kRegs], acc_im[kRegs];
+  for (std::size_t r = 0; r < kRegs; ++r) {
+    acc_re[r] = T::Set1(0.0f);
+    acc_im[r] = T::Set1(0.0f);
+  }
+  const std::size_t products = n - 1;
+  const std::size_t body = products - products % 8;
+  for (std::size_t j = 0; j < body; j += 8) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kRegs; ++r) {
+      typename T::VF pr, pi, cr, ci, zr, zi;
+      T::Deinterleave(x + j + r * kW, pr, pi);
+      T::Deinterleave(x + j + r * kW + 1, cr, ci);
+      ConjProduct<T>(cr, ci, pr, pi, zr, zi);
+      acc_re[r] = T::Add(acc_re[r], zr);
+      acc_im[r] = T::Add(acc_im[r], zi);
+    }
+  }
+  alignas(32) float re[8], im[8];
+  for (std::size_t r = 0; r < kRegs; ++r) {
+    T::StoreOrdered(re + r * kW, acc_re[r]);
+    T::StoreOrdered(im + r * kW, acc_im[r]);
+  }
+  return FinishConjMulSum(re, im, x, body, products);
+}
+
+/// The tier's kernel table: every field an instantiation of the template
+/// above.
+template <class T>
+constexpr Kernels MakeKernels(Tier tier) {
+  return {tier,          &CorrelateChips<T>, &FirComplex<T>,
+          &PhaseDiff<T>, &InstantPhase<T>,   &SumFinitePower<T>,
+          &PowerPlane<T>, &HealthScan<T>,    &ConjMulSum<T>};
+}
+
+}  // namespace
 }  // namespace rfdump::dsp::simd::detail

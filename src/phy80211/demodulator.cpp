@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "rfdump/dsp/barker.hpp"
 #include "rfdump/obs/obs.hpp"
@@ -22,11 +23,11 @@ std::int64_t ChipToSample(std::size_t chip) {
   return static_cast<std::int64_t>(chip * 8 / 11);
 }
 
-// Inverse DQPSK dibit map: quadrant of the differential phase -> (d0, d1).
+// Inverse of the modulator's DQPSK dibit map, for the 2 Mbps payload and the
+// phi1 dibit of a CCK symbol: the differential phase, quantized to the
+// nearest multiple of pi/2, maps 0 -> 00, pi/2 -> 01, pi -> 11, 3pi/2 -> 10.
 std::pair<std::uint8_t, std::uint8_t> SliceDqpsk(float diff_phase) {
-  // Quantize to the nearest multiple of pi/2.
-  const float half_pi = dsp::kPi / 2.0f;
-  int q = static_cast<int>(std::lround(diff_phase / half_pi));
+  int q = static_cast<int>(std::lround(diff_phase / (dsp::kPi / 2.0f)));
   q = ((q % 4) + 4) % 4;
   switch (q) {
     case 0: return {0, 0};
@@ -42,19 +43,6 @@ const util::BitVec& SfdBits() {
 }
 
 // ------------------------------------------------------------ CCK decoding
-
-// Inverse of the modulator's DQPSK map for the (d0, d1) dibit carried on the
-// differential phi1: 0 -> 00, pi/2 -> 01, pi -> 11, 3pi/2 -> 10.
-std::pair<std::uint8_t, std::uint8_t> SliceDqpskDibit(float diff_phase) {
-  int q = static_cast<int>(std::lround(diff_phase / (dsp::kPi / 2.0f)));
-  q = ((q % 4) + 4) % 4;
-  switch (q) {
-    case 0: return {0, 0};
-    case 1: return {0, 1};
-    case 2: return {1, 1};
-    default: return {1, 0};
-  }
-}
 
 // Base CCK codewords (phi1 = 0) for one rate, plus the data bits (beyond the
 // phi1 dibit) each encodes. Index order matches the modulator's mappings.
@@ -253,7 +241,7 @@ util::BitVec DecodeCckPayloadRaw(dsp::const_sample_span chips,
     // Differential phi1 with the even/odd pi offset removed.
     float diff = std::arg(d.score) - prev_phase;
     if (m & 1u) diff -= dsp::kPi;
-    const auto [d0, d1] = SliceDqpskDibit(dsp::WrapPhase(diff));
+    const auto [d0, d1] = SliceDqpsk(dsp::WrapPhase(diff));
     raw.push_back(d0);
     raw.push_back(d1);
     util::AppendBits(raw, cb.bits[d.idx]);
@@ -272,12 +260,6 @@ Demodulator::Demodulator() : Demodulator(Config{}) {}
 
 Demodulator::Demodulator(Config config) : config_(config) {}
 
-std::optional<DecodedFrame> Demodulator::DecodeFirst(dsp::const_sample_span x) {
-  auto all = DecodeAll(x);
-  if (all.empty()) return std::nullopt;
-  return all.front();
-}
-
 std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
   static obs::Counter& c_samples = obs::Registry::Default().GetCounter(
       "rfdump_phy80211_samples_total");
@@ -290,7 +272,6 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
   static obs::Counter& c_fcs_fail = obs::Registry::Default().GetCounter(
       "rfdump_phy80211_fcs_fail_total");
   std::vector<DecodedFrame> frames;
-  stats_.samples_processed += x.size();
   c_samples.Inc(x.size());
   if (x.size() < 64) return frames;
 
@@ -326,7 +307,6 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
       ++scan;
       continue;
     }
-    ++stats_.sync_attempts;
     c_attempts.Inc();
     if (budget && !budget->Charge(11 * config_.min_sync_symbols)) break;
 
@@ -581,7 +561,6 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
         frame.fcs_ok = (fcs == rx_fcs);
         (frame.fcs_ok ? c_fcs_pass : c_fcs_fail).Inc();
       }
-      ++stats_.frames_decoded;
     }
 
     c_frames.Inc();

@@ -47,7 +47,6 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
       "rfdump_phybt_crc_pass_total");
   static obs::Counter& c_crc_fail = obs::Registry::Default().GetCounter(
       "rfdump_phybt_crc_fail_total");
-  stats_.samples_processed += x.size();
   c_samples.Inc(x.size());
 
   // Cooperative deadline: channelize + filter + discriminate are linear in
@@ -65,7 +64,6 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
   const std::size_t limit = freq.size() > need ? freq.size() - need : 0;
   std::size_t pos = 1;  // SliceSymbols needs center >= 1
   while ((pos = track.NextCandidate(pos, limit)) < limit) {
-    ++stats_.sync_checks;
     c_checks.Inc();
     if (budget && !budget->Charge(64 * kSps)) break;
     // The 64 sync bits, read off the slicer plane (every center is inside
@@ -103,7 +101,6 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
     pkt.end_sample = static_cast<std::int64_t>(pos + air_bits * kSps);
     (pkt.packet.crc_ok ? c_crc_pass : c_crc_fail).Inc();
     out.push_back(std::move(pkt));
-    ++stats_.packets_decoded;
     c_packets.Inc();
     pos += air_bits * kSps;
   }

@@ -147,18 +147,23 @@ TEST_P(DspSimdTierSweep, CorrelateChipsBitExact) {
 TEST_P(DspSimdTierSweep, FirComplexBitExact) {
   const Kernels& ref = Table(Tier::kScalar);
   const Kernels& vec = Table(tier());
-  const auto taps = DesignLowPass(600e3, kSampleRateHz, 21);
   std::mt19937 rng(202);
-  for (std::size_t off : kOffsets) {
-    for (std::size_t len : kLengths) {
-      const auto buf =
-          RandomSamples(rng, off + len + taps.size() + 8, false);
-      const cfloat* work = buf.data() + off;
-      std::vector<cfloat> a(len), b(len);
-      ref.fir_complex(work, len, taps.data(), taps.size(), a.data());
-      vec.fir_complex(work, len, taps.data(), taps.size(), b.data());
-      ASSERT_TRUE(BitEqual(a, b, "fir_complex"))
-          << "tier=" << TierName(tier()) << " len=" << len << " off=" << off;
+  // 21 is the GFSK channel filter; 12 a polyphase resampler phase; 1 and 2
+  // the degenerate filters; 33 longer than any register-count multiple.
+  for (std::size_t n_taps : {1, 2, 12, 21, 33}) {
+    const auto taps = DesignLowPass(600e3, kSampleRateHz, n_taps);
+    for (std::size_t off : kOffsets) {
+      for (std::size_t len : kLengths) {
+        const auto buf =
+            RandomSamples(rng, off + len + taps.size() + 8, false);
+        const cfloat* work = buf.data() + off;
+        std::vector<cfloat> a(len), b(len);
+        ref.fir_complex(work, len, taps.data(), taps.size(), a.data());
+        vec.fir_complex(work, len, taps.data(), taps.size(), b.data());
+        ASSERT_TRUE(BitEqual(a, b, "fir_complex"))
+            << "tier=" << TierName(tier()) << " taps=" << n_taps
+            << " len=" << len << " off=" << off;
+      }
     }
   }
 }
@@ -310,6 +315,20 @@ TEST(DspSimdDispatch, UnsupportedTierThrows) {
   // Scalar is supported everywhere by contract.
   EXPECT_TRUE(TierSupported(Tier::kScalar));
   EXPECT_NO_THROW((void)Table(Tier::kScalar));
+}
+
+// A build that loses simd_avx2.cpp's -mavx2 flag still links (kAvx2Built is
+// false) and silently runs SSE2 on AVX2 hosts; the speed gates would not
+// notice, so this does.
+TEST(DspSimdDispatch, Avx2TierBuiltWhereCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2") != 0) {
+    EXPECT_TRUE(TierSupported(Tier::kAvx2));
+    EXPECT_EQ(DetectBestTier(), Tier::kAvx2);
+  }
+#else
+  EXPECT_FALSE(TierSupported(Tier::kAvx2));
+#endif
 }
 
 TEST(DspSimdDispatch, TierNamesRoundTrip) {
