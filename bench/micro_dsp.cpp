@@ -23,7 +23,9 @@
 #include "rfdump/dsp/resampler.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/phy80211/modulator.hpp"
 #include "rfdump/phybt/gfsk.hpp"
+#include "rfdump/phyzigbee/phy.hpp"
 #include "rfdump/util/rng.hpp"
 
 namespace dsp = rfdump::dsp;
@@ -260,6 +262,19 @@ int RunSpeedupTable() {
     simd::ForceTier(k.tier);
     float gate = gfsk_channel.Process(x, 0.0).gate;
     benchmark::DoNotOptimize(gate);
+  });
+  // The ZigBee sync search per sample of frame-free 802.11b air (a 2 Mbps
+  // frame over noise), where no offset passes the preamble screen. Also
+  // dispatches through simd::Active(), so it forces each tier too.
+  dsp::SampleVec air = rfdump::phy80211::Modulator().Modulate(
+      std::vector<std::uint8_t>(1000, 0x5A), rfdump::phy80211::Rate::k2Mbps);
+  air.resize(kN);
+  rfdump::util::Xoshiro256 air_rng(7);
+  rfdump::channel::AddAwgn(air, 1e-2, air_rng);
+  measure("zigbee-sync", false, [&](const simd::Kernels& k) {
+    simd::ForceTier(k.tier);
+    const bool found = rfdump::phyzigbee::DecodeFrame(air).has_value();
+    benchmark::DoNotOptimize(found);
   });
   simd::ClearForcedTier();
 

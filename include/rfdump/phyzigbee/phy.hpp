@@ -10,12 +10,15 @@
 // scales to; we implement the modulator (for emulated traffic), the timing
 // constants the detectors use, and a correlation-based frame detector/decoder.
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
 #include "rfdump/util/bits.hpp"
+#include "rfdump/util/work_budget.hpp"
 
 namespace rfdump::phyzigbee {
 
@@ -55,8 +58,23 @@ struct DecodedZbFrame {
 };
 
 /// Correlation demodulator: searches for the preamble+SFD chip pattern and
-/// decodes symbols by maximum-correlation despreading.
+/// decodes symbols by maximum-correlation despreading. The sync search
+/// charges `budget` (null = unlimited) once per screened block of offsets
+/// and returns nothing once it expires.
 [[nodiscard]] std::optional<DecodedZbFrame> DecodeFrame(
-    dsp::const_sample_span x);
+    dsp::const_sample_span x, util::WorkBudget* budget = nullptr);
+
+namespace detail {
+
+/// Margin δ of the chip-domain preamble screen (DESIGN.md §16): an offset is
+/// skipped only when its screened symbol-0 correlation is below 0.65 − δ.
+inline constexpr double kScreenMargin = 0.005;
+
+/// The screen's normalized symbol-0 correlation at every offset
+/// [0, x.size() − 128], or NaN where the window holds a non-finite power.
+/// Exposed for tests.
+[[nodiscard]] std::vector<double> ScreenCorrelations(dsp::const_sample_span x);
+
+}  // namespace detail
 
 }  // namespace rfdump::phyzigbee

@@ -58,12 +58,11 @@ std::vector<std::uint8_t> ZigbeeSeedInput(std::size_t i,
 
 int ZigbeeFuzzRun(std::span<const std::uint8_t> data,
                   util::WorkBudget* budget) {
-  (void)budget;  // the frame decoder is single-pass; no deadline hook
   if (data.empty()) return 0;
   const auto payload = data.subspan(1);  // first byte reserved (mode unused)
   int decodes = 0;
   const auto x = FuzzBytesToSamples(payload);
-  if (const auto frame = phyzigbee::DecodeFrame(x)) {
+  if (const auto frame = phyzigbee::DecodeFrame(x, budget)) {
     ++decodes;
     (void)phyzigbee::FrameAirtimeUs(frame->psdu.size());
   }
@@ -113,7 +112,7 @@ ProtocolBundle MakeZigbeeBundle() {
         "rfdump_phyzigbee_frames_total");
     c_attempts.Inc();
     std::optional<phyzigbee::DecodedZbFrame> frame =
-        phyzigbee::DecodeFrame(ctx.span);
+        phyzigbee::DecodeFrame(ctx.span, ctx.budget);
     if (!frame) return {};
     c_frames.Inc();
     std::vector<ProtocolEvent> events(1);

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <numbers>
 
+#include "rfdump/dsp/simd.hpp"
 #include "rfdump/util/crc.hpp"
+#include "rfdump/util/scratch.hpp"
 
 namespace rfdump::phyzigbee {
 namespace {
@@ -85,20 +89,173 @@ const std::array<double, 16>& SymbolRefEnergies() {
   return energies;
 }
 
-// Normalized correlation of x[at..at+128) against reference `s`.
+// Energy of x[at..at+128), summed in sample order.
+double WindowEnergy(dsp::const_sample_span x, std::size_t at) {
+  double ex = 0.0;
+  for (std::size_t n = 0; n < kSamplesPerSymbol; ++n) {
+    ex += std::norm(x[at + n]);
+  }
+  return ex;
+}
+
+// Normalized correlation of x[at..at+128) against reference `s`, given the
+// window's energy `ex`.
 float SymbolCorrelation(dsp::const_sample_span x, std::size_t at, int s,
-                        cfloat* rotation_out = nullptr) {
+                        double ex) {
   const auto& ref = SymbolRefs()[static_cast<std::size_t>(s)];
   const double er = SymbolRefEnergies()[static_cast<std::size_t>(s)];
   cfloat acc{0.0f, 0.0f};
-  double ex = 0.0;
   for (std::size_t n = 0; n < kSamplesPerSymbol; ++n) {
     acc += x[at + n] * std::conj(ref[n]);
-    ex += std::norm(x[at + n]);
   }
-  if (rotation_out) *rotation_out = acc;
   const double denom = std::sqrt(std::max(ex * er, 1e-30));
   return static_cast<float>(std::abs(acc) / denom);
+}
+
+float SymbolCorrelation(dsp::const_sample_span x, std::size_t at, int s) {
+  return SymbolCorrelation(x, at, s, WindowEnergy(x, at));
+}
+
+// ------------------------------------------------ chip-domain preamble screen
+//
+// Symbol 0's reference is one pulse per chip, q[s] = fl(0.7071·halfsine[s]),
+// signed by the chip: on I for even chips, on Q for odd ones, chip k starting
+// at sample 4k. Its correlation therefore factors through the matched filter
+// m[i] = sum_s q[s]·x[i+s]:
+//   <x, ref0>(at) = E − jO,  E = sum_{k even} c_k·m[at+4k],
+//                            O = sum_{k odd}  c_k·m[at+4k],
+// where chip 31, which the window cuts after 4 samples, takes the 4-tap
+// partial instead. Even chips sit 8 samples apart and so do odd ones, so
+// both sums are correlate_chips over the stride-8 polyphase streams of m.
+
+// Offsets screened per block; also the unit of budget charge. One block
+// covers the seven windows that follow the scan position.
+constexpr std::size_t kScreenBlock = 2048;
+static_assert(kScreenBlock > 7 * kSamplesPerSymbol);
+
+struct ScreenTaps {
+  std::array<float, kHalfSineSamples> pulse{};  // q, symmetric
+  std::array<float, 4> partial{};               // q[3..0], for fir_complex
+  std::array<int, 16> even{};                   // c_0, c_2, ..., c_30
+  std::array<int, 15> odd{};                    // c_1, c_3, ..., c_29
+  float last = 0.0f;                            // c_31
+};
+
+const ScreenTaps& Taps() {
+  static const ScreenTaps taps = [] {
+    ScreenTaps t;
+    const auto p = HalfSine();
+    for (std::size_t s = 0; s < kHalfSineSamples; ++s) {
+      t.pulse[s] = p[s] * 0.7071f;  // RenderChips' rounding, bit for bit
+    }
+    for (std::size_t s = 0; s < 4; ++s) t.partial[s] = t.pulse[3 - s];
+    const std::uint32_t pn = ChipTable()[0];
+    const auto chip = [pn](std::size_t k) { return ((pn >> k) & 1u) ? 1 : -1; };
+    for (std::size_t i = 0; i < 16; ++i) t.even[i] = chip(2 * i);
+    for (std::size_t i = 0; i < 15; ++i) t.odd[i] = chip(2 * i + 1);
+    t.last = static_cast<float>(chip(31));
+    return t;
+  }();
+  return taps;
+}
+
+// Prefix sums of the finite powers of x (double) and of its non-finite
+// power count, so any window's energy is two loads.
+class WindowPrefix {
+ public:
+  explicit WindowPrefix(dsp::const_sample_span x)
+      : energy_(util::Scratch<double, WindowPrefix>()),
+        bad_(util::Scratch<std::uint32_t, WindowPrefix>()) {
+    energy_.resize(x.size() + 1);
+    bad_.resize(x.size() + 1);
+    double e = 0.0;
+    std::uint32_t bad = 0;
+    energy_[0] = 0.0;
+    bad_[0] = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float p = std::norm(x[i]);
+      if (std::isfinite(p)) {
+        e += p;
+      } else {
+        ++bad;
+      }
+      energy_[i + 1] = e;
+      bad_[i + 1] = bad;
+    }
+  }
+
+  // True if every sample of x[at..at+128) has a finite power.
+  bool Finite(std::size_t at) const {
+    return bad_[at + kSamplesPerSymbol] == bad_[at];
+  }
+  double Energy(std::size_t at) const {
+    return energy_[at + kSamplesPerSymbol] - energy_[at];
+  }
+  // Bounds the rounding error of Energy() for every window inside
+  // x[0..end): prefix entry i is off by at most i·u·prefix[i] (u = 2^-53,
+  // the prefix is nondecreasing), so a difference of two is off by at most
+  // (2·end + 1)·u·prefix[end].
+  double Slack(std::size_t end) const {
+    return static_cast<double>(end + 1) *
+           std::numeric_limits<double>::epsilon() * energy_[end];
+  }
+
+ private:
+  std::vector<double>& energy_;
+  std::vector<std::uint32_t>& bad_;
+};
+
+// <x, ref0>(at) for at in [b, e), written to out[at − b]. Reads
+// x[b .. e + 126].
+void ScreenCorrelation(dsp::const_sample_span x, std::size_t b, std::size_t e,
+                       cfloat* out) {
+  const dsp::simd::Kernels& k = dsp::simd::Active();
+  const ScreenTaps& taps = Taps();
+  const std::size_t n_off = e - b;
+  const std::size_t n_mf = n_off + 120;  // m at b .. e + 119
+
+  struct MfTag {};
+  auto& mf = util::Scratch<cfloat, MfTag>();
+  mf.resize(n_mf);
+  k.fir_complex(x.data() + b, n_mf, taps.pulse.data(), taps.pulse.size(),
+                mf.data());
+  struct PartialTag {};
+  auto& partial = util::Scratch<cfloat, PartialTag>();
+  partial.resize(n_off);
+  k.fir_complex(x.data() + b + 124, n_off, taps.partial.data(),
+                taps.partial.size(), partial.data());
+
+  // Stream r holds m[b + r + 8t].
+  const std::size_t stride = (n_mf + 7) / 8;
+  struct StreamTag {};
+  auto& streams = util::Scratch<cfloat, StreamTag>();
+  streams.resize(8 * stride);
+  for (std::size_t i = 0; i < n_mf; ++i) {
+    streams[(i % 8) * stride + i / 8] = mf[i];
+  }
+
+  struct EvenTag {};
+  auto& even = util::Scratch<cfloat, EvenTag>();
+  struct OddTag {};
+  auto& odd = util::Scratch<cfloat, OddTag>();
+  even.resize(stride);
+  odd.resize(stride);
+  for (std::size_t r = 0; r < 8 && r < n_off; ++r) {
+    // Offsets b + r + 8t: even chips from stream r at t, odd chips (4
+    // samples later) from stream (r + 4) % 8, one step on when that wraps.
+    const std::size_t n_t = (n_off - r + 7) / 8;
+    const cfloat* odd_stream =
+        streams.data() + ((r + 4) % 8) * stride + (r >= 4 ? 1 : 0);
+    k.correlate_chips(streams.data() + r * stride, n_t, taps.even.data(),
+                      taps.even.size(), even.data());
+    k.correlate_chips(odd_stream, n_t, taps.odd.data(), taps.odd.size(),
+                      odd.data());
+    for (std::size_t t = 0; t < n_t; ++t) {
+      const std::size_t j = r + 8 * t;
+      const cfloat o = odd[t] + taps.last * partial[j];
+      out[j] = cfloat(even[t].real() + o.imag(), even[t].imag() - o.real());
+    }
+  }
 }
 
 }  // namespace
@@ -144,18 +301,56 @@ double FrameAirtimeUs(std::size_t psdu_bytes) {
   return static_cast<double>(6 + psdu_bytes) * 32.0;
 }
 
-std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x) {
+std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x,
+                                          util::WorkBudget* budget) {
   // Preamble search: 8 consecutive symbol-0 correlations above threshold.
   constexpr float kThreshold = 0.65f;
   if (x.size() < 10 * kSamplesPerSymbol) return std::nullopt;
   const std::size_t limit = x.size() - 10 * kSamplesPerSymbol;
+
+  // Every preamble window the scan can reach is screened first, a block of
+  // offsets ahead of the scan; only screen survivors get the exact check.
+  const std::size_t n_screen = limit + 7 * kSamplesPerSymbol + 1;
+  const WindowPrefix prefix(x);
+  const double reject_below =
+      (kThreshold - detail::kScreenMargin) *
+      (kThreshold - detail::kScreenMargin) * SymbolRefEnergies()[0];
+  struct CorrTag {};
+  auto& corr = util::Scratch<cfloat, CorrTag>();
+  corr.resize(kScreenBlock);
+  struct PassTag {};
+  auto& pass = util::Scratch<std::uint8_t, PassTag>();
+  pass.resize(n_screen);
+  std::size_t screened = 0;
+  const auto preamble_symbol = [&](std::size_t at) {
+    return pass[at] != 0 && SymbolCorrelation(x, at, 0) >= kThreshold;
+  };
+
   for (std::size_t at = 0; at <= limit; ++at) {
-    if (SymbolCorrelation(x, at, 0) < kThreshold) continue;
+    if (at + 7 * kSamplesPerSymbol >= screened) {
+      const std::size_t end = std::min(screened + kScreenBlock, n_screen);
+      if (budget != nullptr && !budget->Charge(end - screened)) {
+        return std::nullopt;
+      }
+      ScreenCorrelation(x, screened, end, corr.data());
+      // Reject against a lower bound on the window energy. Non-finite
+      // windows (and every comparison with NaN) fall through to the exact
+      // check.
+      const double slack = prefix.Slack(end - 1 + kSamplesPerSymbol);
+      for (std::size_t w = screened; w < end; ++w) {
+        const cfloat a = corr[w - screened];
+        const double power = static_cast<double>(a.real()) * a.real() +
+                             static_cast<double>(a.imag()) * a.imag();
+        pass[w] = !(prefix.Finite(w) &&
+                    power < reject_below * (prefix.Energy(w) - slack));
+      }
+      screened = end;
+    }
+    if (!preamble_symbol(at)) continue;
     // Require the next 7 preamble symbols too.
     bool preamble = true;
-    for (int m = 1; m < 8 && preamble; ++m) {
-      preamble = SymbolCorrelation(x, at + m * kSamplesPerSymbol, 0) >=
-                 kThreshold;
+    for (std::size_t m = 1; m < 8 && preamble; ++m) {
+      preamble = preamble_symbol(at + m * kSamplesPerSymbol);
     }
     if (!preamble) continue;
     // SFD (0xA7): nibbles 7 then A.
@@ -168,10 +363,11 @@ std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x) {
     // Decode PHR + PSDU by per-symbol argmax correlation.
     auto decode_symbol = [&](std::size_t pos) -> int {
       if (pos + kSamplesPerSymbol > x.size()) return -1;
+      const double ex = WindowEnergy(x, pos);
       int best = 0;
       float best_corr = -1.0f;
       for (int s = 0; s < 16; ++s) {
-        const float c = SymbolCorrelation(x, pos, s);
+        const float c = SymbolCorrelation(x, pos, s, ex);
         if (c > best_corr) {
           best_corr = c;
           best = s;
@@ -209,5 +405,25 @@ std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x) {
   }
   return std::nullopt;
 }
+
+namespace detail {
+
+std::vector<double> ScreenCorrelations(dsp::const_sample_span x) {
+  if (x.size() < kSamplesPerSymbol) return {};
+  const std::size_t n = x.size() - kSamplesPerSymbol + 1;
+  const WindowPrefix prefix(x);
+  dsp::SampleVec corr(n);
+  ScreenCorrelation(x, 0, n, corr.data());
+  std::vector<double> rho(n, std::numeric_limits<double>::quiet_NaN());
+  for (std::size_t at = 0; at < n; ++at) {
+    if (!prefix.Finite(at)) continue;
+    const double re = corr[at].real(), im = corr[at].imag();
+    rho[at] = std::sqrt((re * re + im * im) /
+                        (prefix.Energy(at) * SymbolRefEnergies()[0]));
+  }
+  return rho;
+}
+
+}  // namespace detail
 
 }  // namespace rfdump::phyzigbee

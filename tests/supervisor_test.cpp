@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "rfdump/channel/channel.hpp"
+#include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/core/supervisor.hpp"
@@ -25,7 +27,9 @@
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/phy80211/demodulator.hpp"
 #include "rfdump/phybt/demodulator.hpp"
+#include "rfdump/phyzigbee/phy.hpp"
 #include "rfdump/traffic/traffic.hpp"
+#include "rfdump/util/rng.hpp"
 #include "rfdump/util/work_budget.hpp"
 
 namespace core = rfdump::core;
@@ -208,6 +212,49 @@ TEST(Supervision, BtDemodulatorHonorsBudget) {
   const auto partial = cut.DecodeAll(span);
   EXPECT_TRUE(tiny.expired());
   EXPECT_LT(partial.size(), all_pkts.size());
+}
+
+TEST(Supervision, ZigbeeUnitHonorsBudget) {
+  // One ZigBee interval (a frame in noise), decoded by the bundle's unit.
+  const std::vector<std::uint8_t> psdu = {0x41, 0x88, 0x01, 0x22, 0x33};
+  const auto wave = rfdump::phyzigbee::ModulateFrame(psdu);
+  dsp::SampleVec x(20'000, dsp::cfloat{0.0f, 0.0f});
+  std::copy(wave.begin(), wave.end(), x.begin() + 12'000);
+  rfdump::util::Xoshiro256 rng(13);
+  rfdump::channel::AddAwgn(x, 1e-3, rng);
+  const core::ProtocolBundle* bundle =
+      core::ProtocolRegistry::Instance().Find(core::Protocol::kZigbee);
+  ASSERT_NE(bundle, nullptr);
+  core::AnalysisUnitContext ctx;
+  ctx.span = x;
+  const auto unlimited = bundle->run_unit(ctx, 0).events;
+  ASSERT_EQ(unlimited.size(), 1u);
+
+  const auto run = [&](std::uint64_t max_samples,
+                       std::vector<core::ProtocolEvent>& events) {
+    core::Supervisor::Config cfg;
+    cfg.demod_limits.max_samples = max_samples;
+    core::Supervisor sup(cfg);
+    return Supervised(sup, core::Protocol::kZigbee, 0,
+                      static_cast<std::int64_t>(x.size()), x,
+                      [&](util::WorkBudget& b) {
+                        core::AnalysisUnitContext c = ctx;
+                        c.budget = &b;
+                        events = bundle->run_unit(c, 0).events;
+                      });
+  };
+  // A generous cap changes nothing.
+  std::vector<core::ProtocolEvent> roomy;
+  EXPECT_EQ(run(1'000'000'000, roomy), core::Outcome::kOk);
+  ASSERT_EQ(roomy.size(), 1u);
+  EXPECT_EQ(roomy[0].start_sample, unlimited[0].start_sample);
+  EXPECT_EQ(roomy[0].end_sample, unlimited[0].end_sample);
+  EXPECT_EQ(roomy[0].payload, unlimited[0].payload);
+  // A cap below the sync search's first block ends at the deadline, before
+  // the frame 12k samples in is reached.
+  std::vector<core::ProtocolEvent> tight;
+  EXPECT_EQ(run(1'000, tight), core::Outcome::kDeadline);
+  EXPECT_TRUE(tight.empty());
 }
 
 // ------------------------------------------------------------- breaker FSM
