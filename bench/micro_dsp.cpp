@@ -276,6 +276,18 @@ int RunSpeedupTable() {
     const bool found = rfdump::phyzigbee::DecodeFrame(air).has_value();
     benchmark::DoNotOptimize(found);
   });
+  // The 11/8 resampler of every 802.11 unit per input sample: the resample
+  // kernel plus RationalResampler's history handling. Process dispatches
+  // through simd::Active() as well.
+  dsp::RationalResampler resampler(11, 8);
+  dsp::SampleVec resampled;
+  resampled.reserve(kN * 11 / 8 + 8);
+  measure("resampler", false, [&](const simd::Kernels& k) {
+    simd::ForceTier(k.tier);
+    resampled.clear();
+    resampler.Process(x, resampled);
+    benchmark::DoNotOptimize(resampled.data());
+  });
   simd::ClearForcedTier();
 
   int gate_hits = 0;

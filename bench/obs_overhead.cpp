@@ -1,5 +1,8 @@
 // Observability overhead: proves the instrumentation budget (<2% of block
-// CPU, DESIGN.md §8) on the Table-1 workload.
+// CPU, DESIGN.md §8) on the Table-1 workload. It also prices Counter::Inc
+// under contention (min(4, allowed CPUs) writers on one counter), the cost
+// that per-scan tallies keep off the per-candidate path; that figure is
+// reported, not gated.
 //
 // Strategy: a single binary cannot compile both RFDUMP_OBS modes, so the
 // bench (a) microbenchmarks each primitive the hot paths actually use
@@ -16,11 +19,17 @@
 // (federation on vs off) and charging the result against the same block
 // CPU denominator. Both costs together must stay under the 2% budget.
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,7 +47,9 @@ namespace dsp = rfdump::dsp;
 /// `*_nanoseconds_total` families, which do one bulk Inc(n) per entry point
 /// (per pipeline pass / per demod region / per stage-table export); those
 /// contribute one atomic op per call, not per sample or nanosecond, and are
-/// charged separately by the caller.
+/// charged separately by the caller. The BT/BLE `*_sync_checks_total`
+/// tallies publish one Inc(n) per scan but are counted here at their value,
+/// which overstates their cost and keeps the estimate conservative.
 std::uint64_t PerCallCounterEvents() {
   std::istringstream in(obs::Registry::Default().ExpositionText());
   std::uint64_t events = 0;
@@ -64,6 +75,42 @@ std::uint64_t PerCallCounterEvents() {
 
 double NsPerOp(double seconds, std::uint64_t ops) {
   return ops > 0 ? seconds * 1e9 / static_cast<double>(ops) : 0.0;
+}
+
+/// CPUs this process may run on (sched_getaffinity), at least 1.
+int AllowedCpuCount() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Counter::Inc as each of `writers` threads sees it while all of them
+/// increment the same counter at once: wall time over per-thread ops. This
+/// is what a per-candidate Inc costs when concurrent analysis units share
+/// one counter's cache line.
+double ContendedIncNs(obs::Counter& c, int writers, std::uint64_t ops) {
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < writers; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::uint64_t i = 0; i < ops; ++i) c.Inc();
+    });
+  }
+  while (ready.load() < writers) {
+  }
+  obs::Stopwatch w;
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  return NsPerOp(w.Seconds(), ops);
 }
 
 /// One single-sensor fleet pumped for `ticks` lockstep ticks, publishing a
@@ -145,7 +192,17 @@ int main() {
   const double t_span_on = NsPerOp(w.Seconds(), kSpanOnOps);
   obs::Tracer::Default().Disable();
 
+  const int writers = std::min(4, AllowedCpuCount());
+  constexpr std::uint64_t kContendedOps = 2'000'000;
+  const double t_inc_contended =
+      ContendedIncNs(c, writers, kContendedOps);
+
   std::printf("%-38s %8.2f ns/op\n", "Counter::Inc (relaxed fetch_add)", t_inc);
+  std::printf("%-38s %8.2f ns/op\n",
+              ("Counter::Inc, " + std::to_string(writers) +
+               " concurrent writers")
+                  .c_str(),
+              t_inc_contended);
   std::printf("%-38s %8.2f ns/op\n", "Histogram::Observe (4 buckets)",
               t_observe);
   std::printf("%-38s %8.2f ns/op\n", "TraceSpan, tracer disabled (default)",
@@ -267,6 +324,8 @@ int main() {
           {"bench", bench::JsonStr("obs_overhead")},
           {"obs_enabled", bench::JsonInt(RFDUMP_OBS_ENABLED)},
           {"counter_inc_ns", bench::JsonNum(t_inc)},
+          {"counter_inc_contended_ns", bench::JsonNum(t_inc_contended)},
+          {"contended_writers", bench::JsonInt(writers)},
           {"histogram_observe_ns", bench::JsonNum(t_observe)},
           {"span_disabled_ns", bench::JsonNum(t_span_off)},
           {"span_enabled_ns", bench::JsonNum(t_span_on)},

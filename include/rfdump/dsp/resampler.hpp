@@ -8,7 +8,6 @@
 //    so the despreader sees one sample per chip.
 
 #include <cstddef>
-#include <vector>
 
 #include "rfdump/dsp/types.hpp"
 
@@ -16,7 +15,8 @@ namespace rfdump::dsp {
 
 /// Streaming rational resampler: output rate = input rate * interp / decim.
 /// Implements polyphase interpolation with a windowed-sinc prototype filter
-/// designed for the composite (interp x input) rate.
+/// designed for the composite (interp x input) rate. The filtering runs in
+/// the dsp::simd `resample` kernel (DESIGN.md §16).
 class RationalResampler {
  public:
   /// `interp` (L) and `decim` (M) must be >= 1. `taps_per_phase` controls the
@@ -41,11 +41,13 @@ class RationalResampler {
   std::size_t interp_;
   std::size_t decim_;
   std::size_t taps_per_phase_;
-  // phases_[p][k] applies to x[n-k] for an output at polyphase offset p.
-  std::vector<std::vector<float>> phases_;
-  SampleVec window_;           // last taps_per_phase input samples (newest last)
-  std::size_t filled_ = 0;     // valid samples in window_
-  std::size_t phase_acc_ = 0;  // polyphase accumulator in [0, interp)
+  // Branch p, tap k at taps_[p * taps_per_phase_ + k]; applies to x[n-k] for
+  // an output at polyphase offset p. One table per (L, M, taps_per_phase),
+  // built on first use and shared read-only by every resampler.
+  const float* taps_;
+  SampleVec history_;          // last taps_per_phase - 1 inputs (oldest first)
+  std::size_t phase_acc_ = 0;  // next output's position past the next input,
+                               // in composite-rate steps: [0, decim)
 };
 
 }  // namespace rfdump::dsp

@@ -101,6 +101,16 @@ struct Kernels {
   /// lane j % 8; lanes combine as ((l0+l2)+(l4+l6)) + ((l1+l3)+(l5+l7));
   /// the tail is accumulated sequentially after the combine.
   cfloat (*conj_mul_sum)(const cfloat* x, std::size_t n);
+
+  /// Rational polyphase resampling by interp/decim (L/M) over a contiguous
+  /// [history | input] buffer holding n_taps - 1 history samples: for t in
+  /// [0, n_out), with u = phase + t*decim,
+  /// out[t] = sum_k taps[(u % L)*n_taps + k] * work[u / L + n_taps - 1 - k],
+  /// k ascending per output (fir_complex's order on branch u % L). `taps` is
+  /// L branches of n_taps >= 1 each.
+  void (*resample)(const cfloat* work, std::size_t n_out, const float* taps,
+                   std::size_t n_taps, std::size_t interp, std::size_t decim,
+                   std::size_t phase, cfloat* out);
 };
 
 /// Kernel table of ActiveTier(). One relaxed atomic load; safe to call from

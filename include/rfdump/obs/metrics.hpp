@@ -5,7 +5,9 @@
 // Hot-path contract: call sites resolve a metric ONCE (function-local static
 // reference — GetCounter() takes a registry mutex, the returned reference is
 // stable for the process lifetime) and then mutate it with a single relaxed
-// atomic op per event. Reads (Snapshot / ExpositionText) are lock-protected
+// atomic op per event; an event that fires per candidate inside an analysis
+// unit is counted in a local Tally and published once per scan. Reads
+// (Snapshot / ExpositionText) are lock-protected
 // and may run concurrently with writers; they see values that are each
 // individually coherent (snapshot-on-read, no cross-metric consistency).
 //
@@ -50,6 +52,23 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
+};
+
+/// A per-scan count of a hot-loop event, published to its counter with one
+/// Inc(n) when the tally leaves scope, whichever way the scope exits. Keeps
+/// concurrent scans off the counter's shared cache line (DESIGN.md §8).
+class Tally {
+ public:
+  explicit Tally(Counter& counter) noexcept : counter_(counter) {}
+  Tally(const Tally&) = delete;
+  Tally& operator=(const Tally&) = delete;
+  ~Tally() { counter_.Inc(n_); }
+
+  void Inc() noexcept { ++n_; }
+
+ private:
+  Counter& counter_;
+  std::uint64_t n_ = 0;
 };
 
 /// Last-write-wins instantaneous value.

@@ -82,12 +82,19 @@ cfloat ScalarConjMulSum(const cfloat* x, std::size_t n) {
   return FinishConjMulSum(re, im, x, body, products);
 }
 
+void ScalarResample(const cfloat* work, std::size_t n_out, const float* taps,
+                    std::size_t n_taps, std::size_t interp, std::size_t decim,
+                    std::size_t phase, cfloat* out) {
+  ScalarResampleRange(work, 0, n_out, taps, n_taps, interp, decim, phase, out);
+}
+
 }  // namespace
 
 const Kernels kScalarKernels = {
     Tier::kScalar,        &ScalarCorrelateChips, &ScalarFirComplex,
     &ScalarPhaseDiff,     &ScalarInstantPhase,   &ScalarSumFinitePower,
     &ScalarPowerPlane,    &ScalarHealthScan,     &ScalarConjMulSum,
+    &ScalarResample,
 };
 
 }  // namespace detail

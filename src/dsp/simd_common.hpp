@@ -21,9 +21,10 @@
 //      "natural" width — so changing the register width cannot change the
 //      FP association.
 //
-// Per-output kernels (correlate_chips, fir_complex) accumulate in ascending
-// k order per output, which is the exact order of the pre-SIMD scalar code:
-// those kernels are additionally bit-identical to the historical seed path.
+// Per-output kernels (correlate_chips, fir_complex, resample) accumulate in
+// ascending k order per output, which is the exact order of the pre-SIMD
+// scalar code: those kernels are additionally bit-identical to the
+// historical seed path.
 //
 // Linkage rule: apart from the tier-table declarations, everything here has
 // internal linkage. Each tier TU compiles its own copy with its own flags. A
@@ -34,10 +35,12 @@
 // their table. (`inline` below only keeps TUs that skip a helper free of
 // unused-function warnings.)
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "rfdump/dsp/energy.hpp"
 #include "rfdump/dsp/simd.hpp"
@@ -193,6 +196,28 @@ inline cfloat ScalarFirOne(const cfloat* x, const float* taps,
                  acc.imag() + taps[k] * v.imag());
   }
   return acc;
+}
+
+/// Outputs [t_begin, t_end) of the resample kernel, one ScalarFirOne each:
+/// output t reads branch u % L over work[u / L, u / L + n_taps) with
+/// u = phase + t*decim, stepped without a division per output.
+inline void ScalarResampleRange(const cfloat* work, std::size_t t_begin,
+                                std::size_t t_end, const float* taps,
+                                std::size_t n_taps, std::size_t interp,
+                                std::size_t decim, std::size_t phase,
+                                cfloat* out) {
+  const std::size_t u = phase + t_begin * decim;
+  std::size_t i = u / interp;
+  std::size_t p = u % interp;
+  for (std::size_t t = t_begin; t < t_end; ++t) {
+    out[t] = ScalarFirOne(work + i, taps + p * n_taps, n_taps);
+    i += decim / interp;
+    p += decim % interp;
+    if (p >= interp) {
+      p -= interp;
+      ++i;
+    }
+  }
 }
 
 inline float ScalarPhaseDiffOne(cfloat prev, cfloat cur) {
@@ -449,13 +474,128 @@ cfloat ConjMulSum(const cfloat* x, std::size_t n) {
   return FinishConjMulSum(re, im, x, body, products);
 }
 
+// Resample geometry (DESIGN.md §16): with g = gcd(L, M), every period of
+// P = L/g outputs consumes S = M/g inputs, and output j of each period uses
+// the same branch and the same input offset. A chunk of periods is split into
+// S stride-S planes (plane r, entry e = work[(q0 + e)*S + r]), so each
+// (position, tap) term of consecutive periods is one contiguous load.
+inline constexpr std::size_t kResamplePlaneSamples = 2048;  // 16 KiB
+inline constexpr std::size_t kResampleMaxPeriod = 64;
+inline constexpr std::size_t kResampleMaxTerms = 1024;
+inline constexpr std::size_t kResampleRegs = 4;  // registers per block
+
+/// R registers of kWidth/2 periods each from planes entry e0 on: output j of
+/// every period accumulates taps tp[j][k] * plane term off[j*K + k], k
+/// ascending, then the block is written to out in output order. The planes
+/// and the block are float pairs (re, im): a cfloat array would be
+/// zero-filled on every call.
+template <class T, std::size_t R>
+void ResampleBlock(const float* planes, std::size_t e0,
+                   const std::uint32_t* off, const float* const* tp,
+                   std::size_t period, std::size_t n_taps, cfloat* out) {
+  constexpr std::size_t kOuts = T::kWidth / 2;
+  constexpr std::size_t kPeriods = R * kOuts;
+  alignas(32) float block[2 * kResampleMaxPeriod * kPeriods];
+  for (std::size_t j = 0; j < period; ++j) {
+    typename T::VF acc[R];
+    for (std::size_t r = 0; r < R; ++r) acc[r] = T::Set1(0.0f);
+    const float* taps = tp[j];
+    const std::uint32_t* o = off + j * n_taps;
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      const auto t = T::Set1(taps[k]);
+      const float* src = planes + 2 * (o[k] + e0);
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r] = T::Add(acc[r], T::Mul(t, T::Load(src + r * T::kWidth)));
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      T::Store(block + 2 * j * kPeriods + r * T::kWidth, acc[r]);
+    }
+  }
+  for (std::size_t q = 0; q < kPeriods; ++q) {
+    for (std::size_t j = 0; j < period; ++j) {
+      const float* v = block + 2 * (j * kPeriods + q);
+      out[q * period + j] = cfloat(v[0], v[1]);
+    }
+  }
+}
+
+/// Vectorizes across periods: each register holds one position of kWidth/2
+/// consecutive periods. Whole register groups of periods run through the
+/// planes; the remaining outputs, and geometries too large for the stack
+/// tables, take ScalarResampleRange.
+template <class T>
+void Resample(const cfloat* work, std::size_t n_out, const float* taps,
+              std::size_t n_taps, std::size_t interp, std::size_t decim,
+              std::size_t phase, cfloat* out) {
+  constexpr std::size_t kOuts = T::kWidth / 2;
+  const std::size_t g = std::gcd(interp, decim);
+  const std::size_t period = interp / g;
+  const std::size_t stride = decim / g;
+  std::size_t done = 0;
+  if (period <= kResampleMaxPeriod && period * n_taps <= kResampleMaxTerms) {
+    const float* tp[kResampleMaxPeriod];
+    std::size_t first[kResampleMaxPeriod];
+    for (std::size_t j = 0; j < period; ++j) {
+      const std::size_t u = phase + j * decim;
+      tp[j] = taps + (u % interp) * n_taps;
+      first[j] = u / interp;
+    }
+    // A period's outputs read its inputs at offsets [0, reach].
+    const std::size_t reach = first[period - 1] + n_taps - 1;
+    const std::size_t rows = kResamplePlaneSamples / stride;
+    const std::size_t chunk =
+        rows > reach / stride ? (rows - reach / stride) / kOuts * kOuts : 0;
+    if (chunk > 0) {
+      const std::size_t plane_len = chunk + reach / stride;
+      std::uint32_t off[kResampleMaxTerms];
+      for (std::size_t j = 0; j < period; ++j) {
+        for (std::size_t k = 0; k < n_taps; ++k) {
+          const std::size_t c = first[j] + n_taps - 1 - k;
+          off[j * n_taps + k] =
+              static_cast<std::uint32_t>((c % stride) * plane_len + c / stride);
+        }
+      }
+      alignas(32) float planes[2 * kResamplePlaneSamples];
+      const std::size_t periods = n_out / period / kOuts * kOuts;
+      for (std::size_t q0 = 0; q0 < periods; q0 += chunk) {
+        const std::size_t nq = std::min(chunk, periods - q0);
+        const float* src = F(work + q0 * stride);
+        const std::size_t span = (nq - 1) * stride + reach + 1;
+        for (std::size_t e = 0; e * stride < span; ++e) {
+          const std::size_t r_end = std::min(stride, span - e * stride);
+          for (std::size_t r = 0; r < r_end; ++r) {
+            float* dst = planes + 2 * (r * plane_len + e);
+            dst[0] = src[2 * (e * stride + r)];
+            dst[1] = src[2 * (e * stride + r) + 1];
+          }
+        }
+        std::size_t q = 0;
+        for (; q + kResampleRegs * kOuts <= nq; q += kResampleRegs * kOuts) {
+          ResampleBlock<T, kResampleRegs>(planes, q, off, tp, period, n_taps,
+                                          out + (q0 + q) * period);
+        }
+        for (; q < nq; q += kOuts) {
+          ResampleBlock<T, 1>(planes, q, off, tp, period, n_taps,
+                              out + (q0 + q) * period);
+        }
+      }
+      done = periods * period;
+    }
+  }
+  ScalarResampleRange(work, done, n_out, taps, n_taps, interp, decim, phase,
+                      out);
+}
+
 /// The tier's kernel table: every field an instantiation of the template
 /// above.
 template <class T>
 constexpr Kernels MakeKernels(Tier tier) {
-  return {tier,          &CorrelateChips<T>, &FirComplex<T>,
-          &PhaseDiff<T>, &InstantPhase<T>,   &SumFinitePower<T>,
-          &PowerPlane<T>, &HealthScan<T>,    &ConjMulSum<T>};
+  return {tier,           &CorrelateChips<T>, &FirComplex<T>,
+          &PhaseDiff<T>,  &InstantPhase<T>,   &SumFinitePower<T>,
+          &PowerPlane<T>, &HealthScan<T>,     &ConjMulSum<T>,
+          &Resample<T>};
 }
 
 }  // namespace

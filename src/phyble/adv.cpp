@@ -190,8 +190,9 @@ void AdvDemodulator::ScanChannel(dsp::const_sample_span x, int channel,
   const std::size_t need = kSyncBits * kSps;
   const std::size_t limit = freq.size() > need ? freq.size() - need : 0;
   std::size_t pos = 1;  // SliceSymbols needs center >= 1
+  obs::Tally checks(c_checks);
   while ((pos = track.NextCandidate(pos, limit)) < limit) {
-    c_checks.Inc();
+    checks.Inc();
     if (budget && !budget->Charge(kAccessBits * kSps)) break;
     // The advertising access address is fixed and known, so candidates are
     // verified by exact 32-bit correlation — no BCH structure needed. The

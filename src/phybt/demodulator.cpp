@@ -63,8 +63,9 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
   const std::size_t need = kAccessBits * kSps;
   const std::size_t limit = freq.size() > need ? freq.size() - need : 0;
   std::size_t pos = 1;  // SliceSymbols needs center >= 1
+  obs::Tally checks(c_checks);
   while ((pos = track.NextCandidate(pos, limit)) < limit) {
-    c_checks.Inc();
+    checks.Inc();
     if (budget && !budget->Charge(64 * kSps)) break;
     // The 64 sync bits, read off the slicer plane (every center is inside
     // the track: pos < limit), verified against the BCH code.

@@ -1,18 +1,24 @@
-// Tests for phase utilities, resampler, decimator, NCO, Barker correlator,
+// Tests for phase utilities, resampler, NCO, Barker correlator,
 // energy estimators, windows, dB helpers and the RNG.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "rfdump/dsp/barker.hpp"
 #include "rfdump/dsp/db.hpp"
 #include "rfdump/dsp/energy.hpp"
+#include "rfdump/dsp/fir.hpp"
 #include "rfdump/dsp/nco.hpp"
 #include "rfdump/dsp/phase.hpp"
 #include "rfdump/dsp/resampler.hpp"
+#include "rfdump/dsp/simd.hpp"
 #include "rfdump/dsp/windows.hpp"
 #include "rfdump/util/rng.hpp"
 
@@ -202,23 +208,138 @@ TEST(Resampler, UpsampleToneKeepsFrequency) {
   }
 }
 
+/// Bit-pattern equality of two sample vectors (NaN payloads included).
+::testing::AssertionResult SameBits(const dsp::SampleVec& a,
+                                    const dsp::SampleVec& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "[" << i << "]: " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Feeds `x` to `rs` in the given chunk sizes (cycled until x is consumed).
+template <class Resampler>
+dsp::SampleVec ProcessInChunks(Resampler& rs, const dsp::SampleVec& x,
+                               std::span<const std::size_t> chunks) {
+  dsp::SampleVec out;
+  for (std::size_t pos = 0, c = 0; pos < x.size(); ++c) {
+    const std::size_t n = std::min(chunks[c % chunks.size()], x.size() - pos);
+    rs.Process(dsp::const_sample_span(x).subspan(pos, n), out);
+    pos += n;
+  }
+  return out;
+}
+
 TEST(Resampler, StreamingMatchesOneShot) {
   dsp::RationalResampler one(11, 8), stream(11, 8);
   const auto x = ComplexTone(2000, 1.1e6, 8e6);
   const auto expect = one.Resampled(x);
-  dsp::SampleVec got;
-  std::size_t pos = 0;
   const std::size_t chunks[] = {13, 1, 200, 7, 1000, 779};
-  for (std::size_t c : chunks) {
-    const std::size_t n = std::min(c, x.size() - pos);
-    stream.Process(dsp::const_sample_span(x).subspan(pos, n), got);
-    pos += n;
+  const auto got = ProcessInChunks(stream, x, chunks);
+  EXPECT_TRUE(SameBits(got, expect));
+}
+
+/// The resampler as it was before the dsp::simd kernel: a taps_per_phase
+/// window shifted by one sample per input and a per-output MAC loop.
+class ShiftingWindowResampler {
+ public:
+  ShiftingWindowResampler(std::size_t interp, std::size_t decim,
+                          std::size_t taps_per_phase = 12)
+      : interp_(interp), decim_(decim), taps_per_phase_(taps_per_phase) {
+    const double composite_rate = static_cast<double>(interp);
+    const double cutoff =
+        0.5 / static_cast<double>(std::max(interp, decim)) * composite_rate;
+    auto proto =
+        dsp::DesignLowPass(cutoff, composite_rate, interp * taps_per_phase,
+                           dsp::WindowType::kBlackmanHarris);
+    for (auto& t : proto) t *= static_cast<float>(interp);
+    phases_.assign(interp, std::vector<float>(taps_per_phase, 0.0f));
+    for (std::size_t i = 0; i < proto.size(); ++i) {
+      phases_[i % interp][i / interp] = proto[i];
+    }
+    window_.assign(taps_per_phase_, dsp::cfloat{0.0f, 0.0f});
   }
-  ASSERT_EQ(pos, x.size());
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(std::abs(got[i] - expect[i]), 0.0f, 1e-5f) << i;
+
+  void Process(dsp::const_sample_span input, dsp::SampleVec& out) {
+    for (const dsp::cfloat x : input) {
+      std::move(window_.begin() + 1, window_.end(), window_.begin());
+      window_.back() = x;
+      while (phase_acc_ < interp_) {
+        const auto& taps = phases_[phase_acc_];
+        dsp::cfloat acc{0.0f, 0.0f};
+        for (std::size_t k = 0; k < taps_per_phase_; ++k) {
+          acc += taps[k] * window_[taps_per_phase_ - 1 - k];
+        }
+        out.push_back(acc);
+        phase_acc_ += decim_;
+      }
+      phase_acc_ -= interp_;
+    }
   }
+
+ private:
+  std::size_t interp_, decim_, taps_per_phase_;
+  std::vector<std::vector<float>> phases_;
+  dsp::SampleVec window_;
+  std::size_t phase_acc_ = 0;
+};
+
+TEST(Resampler, KernelPathMatchesTheShiftingWindowLoopBitForBit) {
+  // Noise with NaN, +-Inf, denormal and signed-zero samples sprinkled in;
+  // chunk sizes that leave the phase accumulator nonzero between calls
+  // (and calls that produce no output at all for 8/11).
+  dsp::SampleVec x(6000);
+  Xoshiro256 rng(31);
+  for (auto& v : x) {
+    v = dsp::cfloat(static_cast<float>(rng.Gaussian()),
+                    static_cast<float>(rng.Gaussian()));
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 100; i < x.size(); i += 611) x[i] = {nan, 0.5f};
+  for (std::size_t i = 250; i < x.size(); i += 733) x[i] = {-inf, inf};
+  for (std::size_t i = 7; i < x.size(); i += 97) x[i] = {1e-41f, -1e-44f};
+  for (std::size_t i = 11; i < x.size(); i += 89) x[i] = {-0.0f, 0.0f};
+  const std::size_t one_shot[] = {x.size()};
+  const std::size_t odd[] = {1, 3, 5, 13, 2, 7, 1000, 9, 2049};
+  for (const dsp::simd::Tier tier :
+       {dsp::simd::Tier::kScalar, dsp::simd::Tier::kSse2,
+        dsp::simd::Tier::kAvx2}) {
+    if (!dsp::simd::TierSupported(tier)) continue;
+    dsp::simd::ForceTier(tier);
+    for (const auto& [interp, decim] :
+         {std::pair<std::size_t, std::size_t>{11, 8}, {8, 11}, {3, 2}}) {
+      for (std::span<const std::size_t> chunks :
+           {std::span<const std::size_t>(one_shot),
+            std::span<const std::size_t>(odd)}) {
+        ShiftingWindowResampler legacy(interp, decim);
+        dsp::RationalResampler kernel(interp, decim);
+        EXPECT_TRUE(SameBits(ProcessInChunks(kernel, x, chunks),
+                             ProcessInChunks(legacy, x, chunks)))
+            << dsp::simd::TierName(tier) << " " << interp << "/" << decim
+            << " chunks=" << chunks.size();
+      }
+    }
+  }
+  dsp::simd::ClearForcedTier();
+}
+
+TEST(Resampler, ResetRestartsTheStream) {
+  const auto x = ComplexTone(500, 0.3e6, 8e6);
+  dsp::RationalResampler rs(8, 11);
+  dsp::SampleVec discarded;
+  rs.Process(dsp::const_sample_span(x).first(123), discarded);
+  rs.Reset();
+  EXPECT_TRUE(SameBits(rs.Resampled(x),
+                       dsp::RationalResampler(8, 11).Resampled(x)));
 }
 
 TEST(Resampler, AmplitudePreserved) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "rfdump/dsp/barker.hpp"
@@ -281,6 +282,44 @@ TEST_P(DspSimdTierSweep, ConjMulSumBitExact) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
                 std::bit_cast<std::uint64_t>(b))
           << "tier=" << TierName(tier()) << " len=" << len << " off=" << off;
+    }
+  }
+}
+
+TEST_P(DspSimdTierSweep, ResampleBitExact) {
+  const Kernels& ref = Table(Tier::kScalar);
+  const Kernels& vec = Table(tier());
+  std::mt19937 rng(909);
+  constexpr std::size_t kTaps = 12;
+  // Input lengths below the 12 taps, off the 8/11 input strides, and long
+  // enough to cross the kernel's plane chunks (~2k inputs).
+  constexpr std::size_t kInputs[] = {0,  1,  5,   11,  12,  13,  44,
+                                     89, 97, 353, 2048, 2051, 4999};
+  for (const auto& [interp, decim] :
+       {std::pair<std::size_t, std::size_t>{11, 8}, {8, 11}}) {
+    const auto proto = DesignLowPass(0.5 / 11.0, 1.0, interp * kTaps);
+    for (std::size_t off : kOffsets) {
+      for (std::size_t n_in : kInputs) {
+        auto buf = RandomSamples(rng, off + kTaps - 1 + n_in, true);
+        for (std::size_t i = 5; i < buf.size(); i += 37) {
+          buf[i] = cfloat(1e-40f, -std::numeric_limits<float>::denorm_min());
+        }
+        const cfloat* work = buf.data() + off;
+        for (std::size_t phase = 0; phase < decim; ++phase) {
+          const std::size_t end = n_in * interp;
+          const std::size_t n_out =
+              end > phase ? (end - phase + decim - 1) / decim : 0;
+          std::vector<cfloat> a(n_out), b(n_out);
+          ref.resample(work, n_out, proto.data(), kTaps, interp, decim, phase,
+                       a.data());
+          vec.resample(work, n_out, proto.data(), kTaps, interp, decim, phase,
+                       b.data());
+          ASSERT_TRUE(BitEqual(a, b, "resample"))
+              << "tier=" << TierName(tier()) << " L/M=" << interp << "/"
+              << decim << " n_in=" << n_in << " off=" << off
+              << " phase=" << phase;
+        }
+      }
     }
   }
 }

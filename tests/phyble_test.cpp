@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "rfdump/channel/channel.hpp"
 #include "rfdump/dsp/nco.hpp"
+#include "rfdump/obs/obs.hpp"
 #include "rfdump/phyble/adv.hpp"
 #include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/testing/scenario.hpp"
@@ -183,6 +185,86 @@ TEST(PhyBle, ExpiredBudgetStopsTheScan) {
   cfg.budget = &budget;
   AdvDemodulator demod(cfg);
   EXPECT_EQ(demod.DecodeAll(burst.samples).size(), 0u);
+}
+
+/// The scan loop's candidate walk on advertising channel `channel`,
+/// replayed from outside: every NextCandidate hit counts; a decoded PDU
+/// moves past its airtime, a matching access address with an implausible
+/// header one symbol, anything else one sample.
+std::uint64_t CountSyncCandidates(const rfdump::dsp::SampleVec& x, int channel,
+                                  const std::vector<rfdump::phyble::DecodedAdv>& pdus) {
+  constexpr std::size_t kSps = rfdump::phybt::kSamplesPerSymbol;
+  const auto track =
+      rfdump::phybt::GfskChannel(*rfdump::phyble::AdvChannelOffsetHz(channel))
+          .Process(x, 0.0);
+  const std::size_t need =
+      (rfdump::phyble::kPreambleBits + rfdump::phyble::kAccessBits) * kSps;
+  const std::size_t limit =
+      track.freq.size() > need ? track.freq.size() - need : 0;
+  std::uint64_t hits = 0;
+  for (std::size_t pos = 1; (pos = track.NextCandidate(pos, limit)) < limit;) {
+    ++hits;
+    const auto pdu = std::find_if(pdus.begin(), pdus.end(), [&](const auto& p) {
+      return p.channel == channel &&
+             p.start_sample == static_cast<std::int64_t>(pos);
+    });
+    if (pdu != pdus.end()) {
+      pos = static_cast<std::size_t>(pdu->end_sample);
+    } else if (track.plane.Word(pos + rfdump::phyble::kPreambleBits * kSps,
+                                rfdump::phyble::kAccessBits) ==
+               rfdump::phyble::kAdvAccessAddress) {
+      pos += kSps;
+    } else {
+      ++pos;
+    }
+  }
+  return hits;
+}
+
+std::uint64_t SyncChecks() {
+  return rfdump::obs::Registry::Default()
+      .GetCounter("rfdump_phyble_sync_checks_total")
+      .value();
+}
+
+TEST(PhyBle, SyncCheckCounterCountsEveryCandidate) {
+  const auto burst =
+      rfdump::phyble::ModulateAdv(39, AdvPduType::kAdvInd, TestPayload(20));
+  auto x = Embed(burst.samples, 3000);
+  rfdump::util::Xoshiro256 rng(14);
+  rfdump::channel::AddAwgn(x, 3e-2, rng);  // noise that passes the gate
+
+  const std::uint64_t before = SyncChecks();
+  const auto pdus = AdvDemodulator().DecodeAll(x);
+  const std::uint64_t delta = SyncChecks() - before;
+  ASSERT_EQ(pdus.size(), 1u);
+  std::uint64_t hits = 0;
+  for (const int channel : rfdump::phyble::kAdvChannels) {
+    hits += CountSyncCandidates(x, channel, pdus);
+  }
+  EXPECT_GT(hits, 3u);
+  EXPECT_EQ(delta, RFDUMP_OBS_ENABLED ? hits : 0u);
+}
+
+TEST(PhyBle, SyncCheckCounterCountsTheCandidateThatExpiresTheBudget) {
+  rfdump::dsp::SampleVec x(20000);
+  rfdump::util::Xoshiro256 rng(15);
+  rfdump::channel::AddAwgn(x, 1.0, rng);
+  // Channel 37's front matter plus ten checks fit; the eleventh check is
+  // counted, fails its charge and ends the scan (and the channel loop).
+  constexpr std::uint64_t kChecks = 11;
+  rfdump::util::WorkBudget budget;
+  budget.Arm({.max_samples = x.size() + (kChecks - 1) * 32 * 8,
+              .max_cpu_seconds = 0.0});
+  AdvDemodulator::Config cfg;
+  cfg.budget = &budget;
+
+  const std::uint64_t before = SyncChecks();
+  EXPECT_TRUE(AdvDemodulator(cfg).DecodeAll(x).empty());
+  const std::uint64_t delta = SyncChecks() - before;
+  EXPECT_TRUE(budget.expired());
+  ASSERT_GE(CountSyncCandidates(x, 37, {}), kChecks);
+  EXPECT_EQ(delta, RFDUMP_OBS_ENABLED ? kChecks : 0u);
 }
 
 TEST(PhyBle, AirtimeMatchesBitCountAtOneMbps) {

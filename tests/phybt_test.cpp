@@ -1,24 +1,30 @@
 // Bluetooth PHY/baseband tests: sync word code properties, whitening, FEC,
 // packet bit round trips, GFSK loopback and the full band demodulator.
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "rfdump/channel/channel.hpp"
 #include "rfdump/dsp/energy.hpp"
 #include "rfdump/dsp/phase.hpp"
 #include "rfdump/dsp/nco.hpp"
+#include "rfdump/obs/obs.hpp"
 #include "rfdump/phybt/demodulator.hpp"
 #include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/phybt/hopping.hpp"
 #include "rfdump/phybt/modulator.hpp"
 #include "rfdump/phybt/packet.hpp"
 #include "rfdump/util/rng.hpp"
+#include "rfdump/util/work_budget.hpp"
 
 namespace bt = rfdump::phybt;
 namespace dsp = rfdump::dsp;
+namespace obs = rfdump::obs;
 namespace util = rfdump::util;
 
 namespace {
@@ -415,6 +421,86 @@ TEST(BtDemod, NoiseOnlyFindsNothing) {
   rfdump::channel::AddAwgn(band, 1.0, rng);
   bt::Demodulator demod;
   EXPECT_TRUE(demod.DecodeAll(band).empty());
+}
+
+// ------------------------------------------------------ sync-check tally
+
+/// The scan loop's candidate walk on visible channel `idx`, replayed from
+/// outside: every NextCandidate hit counts; a decoded packet moves past its
+/// airtime, a verified sync word with an undecodable header one symbol,
+/// anything else one sample.
+std::uint64_t CountSyncCandidates(const dsp::SampleVec& x, int idx,
+                                  const std::vector<bt::DecodedBtPacket>& pkts) {
+  constexpr std::size_t kSps = bt::kSamplesPerSymbol;
+  const auto track =
+      bt::GfskChannel(bt::VisibleIndexOffsetHz(idx)).Process(x, 0.0);
+  const std::size_t need = 68 * kSps;  // access code
+  const std::size_t limit =
+      track.freq.size() > need ? track.freq.size() - need : 0;
+  std::uint64_t hits = 0;
+  for (std::size_t pos = 1; (pos = track.NextCandidate(pos, limit)) < limit;) {
+    ++hits;
+    const auto pkt = std::find_if(pkts.begin(), pkts.end(), [&](const auto& p) {
+      return p.channel_index == idx &&
+             p.start_sample == static_cast<std::int64_t>(pos);
+    });
+    if (pkt != pkts.end()) {
+      pos = static_cast<std::size_t>(pkt->end_sample);
+    } else if (bt::VerifySyncWord(track.plane.Word(pos + 4 * kSps, 64), 0)) {
+      pos += kSps;
+    } else {
+      ++pos;
+    }
+  }
+  return hits;
+}
+
+std::uint64_t SyncChecks() {
+  return obs::Registry::Default()
+      .GetCounter("rfdump_phybt_sync_checks_total")
+      .value();
+}
+
+TEST(BtDemod, SyncCheckCounterCountsEveryCandidate) {
+  bt::DeviceAddress addr{0x2A96EF, 0x47};
+  auto burst = MakeVisibleBurst(addr, std::vector<std::uint8_t>(60, 0x3C), 7);
+  dsp::SampleVec band(3000, dsp::cfloat{0.0f, 0.0f});
+  band.insert(band.end(), burst.samples.begin(), burst.samples.end());
+  band.insert(band.end(), 3000, dsp::cfloat{0.0f, 0.0f});
+  util::Xoshiro256 rng(12);
+  rfdump::channel::AddAwgn(band, 3e-2, rng);  // noise that passes the gate
+
+  const std::uint64_t before = SyncChecks();
+  const auto pkts = bt::Demodulator().DecodeAll(band);
+  const std::uint64_t delta = SyncChecks() - before;
+  ASSERT_EQ(pkts.size(), 1u);
+  std::uint64_t hits = 0;
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    hits += CountSyncCandidates(band, idx, pkts);
+  }
+  EXPECT_GT(hits, static_cast<std::uint64_t>(bt::kVisibleChannels));
+  EXPECT_EQ(delta, RFDUMP_OBS_ENABLED ? hits : 0u);
+}
+
+TEST(BtDemod, SyncCheckCounterCountsTheCandidateThatExpiresTheBudget) {
+  dsp::SampleVec band(20000);
+  util::Xoshiro256 rng(13);
+  rfdump::channel::AddAwgn(band, 1.0, rng);
+  // Channel 0's front matter plus ten sync checks fit; the eleventh check
+  // is counted, fails its charge and ends the scan (and the band loop).
+  constexpr std::uint64_t kChecks = 11;
+  util::WorkBudget budget;
+  budget.Arm({.max_samples = band.size() + (kChecks - 1) * 64 * 8,
+              .max_cpu_seconds = 0.0});
+  bt::Demodulator::Config cfg;
+  cfg.budget = &budget;
+
+  const std::uint64_t before = SyncChecks();
+  EXPECT_TRUE(bt::Demodulator(cfg).DecodeAll(band).empty());
+  const std::uint64_t delta = SyncChecks() - before;
+  EXPECT_TRUE(budget.expired());
+  ASSERT_GE(CountSyncCandidates(band, 0, {}), kChecks);
+  EXPECT_EQ(delta, RFDUMP_OBS_ENABLED ? kChecks : 0u);
 }
 
 TEST(BtDemod, OutOfBandHopNotCaptured) {
