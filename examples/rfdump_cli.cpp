@@ -364,7 +364,7 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
       std::printf(
           "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
           "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
-          "tag %llu/rej %llu/fwd %llu\n",
+          "tag %llu/rej %llu/veto %llu/fwd %llu\n",
           static_cast<double>(h.block_start) / dsp::kSampleRateHz,
           static_cast<unsigned long long>(h.block_samples), h.gap_count,
           static_cast<long long>(h.gap_samples),
@@ -373,6 +373,7 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
           100.0 * h.saturation_fraction, h.shed_stage, h.block_load,
           static_cast<unsigned long long>(h.tagged_detections),
           static_cast<unsigned long long>(h.rejected_detections),
+          static_cast<unsigned long long>(h.vetoed_detections),
           static_cast<unsigned long long>(h.forwarded_intervals));
       // Refresh the exposition file every ~16 blocks (~0.8 s of ether at
       // the 50 ms block size): cheap enough, fresh enough to scrape.
@@ -407,14 +408,15 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
   const core::HealthSummary& sum = monitor.summary();
   std::printf(
       "[summary] %llu blocks / %llu samples: gaps %u (%lld lost), sanitized "
-      "%llu, tagged %llu, rejected %llu, forwarded %llu, mean load %.3f, "
-      "peak load %.3f (history ring holds %zu of %llu)\n",
+      "%llu, tagged %llu, rejected %llu, vetoed %llu, forwarded %llu, mean "
+      "load %.3f, peak load %.3f (history ring holds %zu of %llu)\n",
       static_cast<unsigned long long>(sum.blocks),
       static_cast<unsigned long long>(sum.samples), sum.gap_count,
       static_cast<long long>(sum.gap_samples),
       static_cast<unsigned long long>(sum.sanitized_samples),
       static_cast<unsigned long long>(sum.tagged_detections),
       static_cast<unsigned long long>(sum.rejected_detections),
+      static_cast<unsigned long long>(sum.vetoed_detections),
       static_cast<unsigned long long>(sum.forwarded_intervals),
       sum.MeanLoad(), sum.max_block_load, monitor.health().size(),
       static_cast<unsigned long long>(sum.blocks));

@@ -91,12 +91,25 @@ class DbpskPhaseDetector {
   [[nodiscard]] std::optional<Detection> OnPeak(const Peak& peak,
                                                 dsp::const_sample_span samples);
 
+  /// True when the pattern holds over the whole peak, not just its first
+  /// max_scan_symbols. Only meaningful for a peak whose OnPeak tag already
+  /// reaches the peak end: the window scan resumes where that capped scan
+  /// stopped instead of starting again at the peak start.
+  [[nodiscard]] bool MatchesWholePeak(dsp::const_sample_span samples) const;
+
   /// Correlation score of the first window of the last OnPeak call.
   float last_score() const { return last_score_; }
 
+  /// Best pattern-correlation over the 8 alignments of one window, |sum| of
+  /// the aligned products over the sum of their magnitudes.
+  [[nodiscard]] static float WindowScore(dsp::const_sample_span window);
+
  private:
-  /// Best pattern-correlation over the 8 alignments of one window.
-  [[nodiscard]] float WindowScore(dsp::const_sample_span window) const;
+  /// Extends a matched prefix [0, matched_end) window by window while the
+  /// windows keep matching, until it reaches `limit`; returns the new end.
+  [[nodiscard]] std::size_t ExtendMatch(dsp::const_sample_span samples,
+                                        std::size_t matched_end,
+                                        std::size_t limit) const;
 
   Config config_;
   float last_score_ = 0.0f;

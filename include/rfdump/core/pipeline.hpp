@@ -113,6 +113,8 @@ struct HealthReport {
   // split lives in the obs metrics registry, DESIGN.md §8):
   std::uint64_t tagged_detections = 0;    // passed the confidence floor
   std::uint64_t rejected_detections = 0;  // below the confidence floor
+  std::uint64_t vetoed_detections = 0;    // timing tags withheld by the
+                                          //   dispatch veto (DESIGN.md §15)
   std::uint64_t forwarded_intervals = 0;  // merged intervals sent to analysis
   // Supervision outcomes for this block (filled by the streaming monitor
   // from Supervisor::counts() deltas; see DESIGN.md §9):

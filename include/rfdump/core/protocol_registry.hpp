@@ -80,6 +80,13 @@ struct ProtocolDetectors {
   /// Per-peak hook over the peak's clamped sample range (phase detectors).
   std::function<std::optional<Detection>(const Peak&, dsp::const_sample_span)>
       on_peak;
+  /// Whole-peak claim over a peak's clamped sample range: true when this
+  /// protocol's phase evidence holds over the entire peak. The pipeline asks
+  /// it only about a peak that this bundle's on_peak tag covers to the peak
+  /// end and that carries another protocol's timing tag unconfirmed by that
+  /// protocol's own on_peak; a claimed peak's timing tag is not dispatched
+  /// (DESIGN.md §15, "The dispatch veto").
+  std::function<bool(dsp::const_sample_span)> claims_peak;
   /// Per-chunk hook (frequency-domain detectors) plus end-of-capture flush.
   std::function<std::vector<Detection>(dsp::const_sample_span, std::int64_t)>
       on_chunk;

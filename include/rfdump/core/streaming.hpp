@@ -69,6 +69,7 @@ struct HealthSummary {
   std::uint64_t sanitized_samples = 0;
   std::uint64_t tagged_detections = 0;
   std::uint64_t rejected_detections = 0;
+  std::uint64_t vetoed_detections = 0;
   std::uint64_t forwarded_intervals = 0;
   // Supervision outcomes (DESIGN.md §9), cumulative across all blocks.
   std::uint64_t supervised_intervals = 0;

@@ -1,5 +1,6 @@
 // 802.11b protocol bundle (DESIGN.md §15): feature rows, SIFS/DIFS timing +
-// DBPSK/Barker phase detectors, the DSSS demodulator analysis unit, the
+// DBPSK/Barker phase detectors (whose whole-peak match also claims peaks
+// from other protocols' timing tags), the DSSS demodulator analysis unit, the
 // canned unicast-ping scenario op and the PLCP fuzz target.
 //
 // rfdump-bundle-cli: wifi   (scanned by tests/CMakeLists.txt to derive the
@@ -144,6 +145,9 @@ ProtocolBundle MakeWifiBundle() {
       auto phase = std::make_shared<DbpskPhaseDetector>();
       d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
         return phase->OnPeak(p, span);
+      };
+      d.claims_peak = [phase](dsp::const_sample_span span) {
+        return phase->MatchesWholePeak(span);
       };
     }
     return d;

@@ -28,6 +28,18 @@ dsp::SampleVec Smooth(dsp::const_sample_span x, std::size_t smooth) {
   return out;
 }
 
+/// std::abs(z), inlined for finite z as the C library's cabsf computes it:
+/// the square root of the double-precision sum of squares, rounded once to
+/// float (exact products, two roundings). Non-finite parts keep the library
+/// call and its Inf-beats-NaN rule. DbpskWindowScore tests pin the equality.
+float Magnitude(dsp::cfloat z) {
+  const float re = z.real(), im = z.imag();
+  if (!std::isfinite(re) || !std::isfinite(im)) return std::abs(z);
+  const double re2 = static_cast<double>(re) * static_cast<double>(re);
+  const double im2 = static_cast<double>(im) * static_cast<double>(im);
+  return static_cast<float>(std::sqrt(re2 + im2));
+}
+
 }  // namespace
 
 PhaseInfo ComputePhaseInfo(dsp::const_sample_span x, std::size_t max_samples,
@@ -138,28 +150,57 @@ DbpskPhaseDetector::DbpskPhaseDetector() : DbpskPhaseDetector(Config{}) {}
 
 DbpskPhaseDetector::DbpskPhaseDetector(Config config) : config_(config) {}
 
-float DbpskPhaseDetector::WindowScore(dsp::const_sample_span window) const {
-  static const auto pattern = BarkerPhaseFlipPattern();
+float DbpskPhaseDetector::WindowScore(dsp::const_sample_span window) {
+  // rows[k][a] is the pattern weight of a sample at position k (mod 8) under
+  // symbol alignment a.
+  static const auto rows = [] {
+    const auto pattern = BarkerPhaseFlipPattern();
+    std::array<std::array<float, 8>, 8> r{};
+    for (std::size_t k = 0; k < 8; ++k) {
+      for (std::size_t a = 0; a < 8; ++a) r[k][a] = pattern[(k + a) % 8];
+    }
+    return r;
+  }();
   if (window.size() < 2) return 0.0f;
   // z[n] = x[n+1] conj(x[n]); with DSSS chipping, arg(z) flips by ~pi at chip
-  // boundaries. Correlate against the precomputed pattern at each of the 8
-  // possible symbol alignments and take the best.
-  std::vector<dsp::cfloat> z(window.size() - 1);
+  // boundaries. One pass correlates z against the pattern at all 8 possible
+  // symbol alignments, one accumulator pair per alignment, each summed in
+  // sample order; the best alignment wins.
+  std::array<float, 8> re{};
+  std::array<float, 8> im{};
   double total = 0.0;
   for (std::size_t i = 0; i + 1 < window.size(); ++i) {
-    z[i] = window[i + 1] * std::conj(window[i]);
-    total += std::abs(z[i]);
+    const dsp::cfloat z = window[i + 1] * std::conj(window[i]);
+    total += Magnitude(z);
+    const auto& w = rows[i % 8];
+    for (std::size_t a = 0; a < 8; ++a) {
+      re[a] += w[a] * z.real();
+      im[a] += w[a] * z.imag();
+    }
   }
   if (total <= 0.0) return 0.0f;
   float best = 0.0f;
   for (std::size_t a = 0; a < 8; ++a) {
-    dsp::cfloat s{0.0f, 0.0f};
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      s += pattern[(i + a) % 8] * z[i];
-    }
-    best = std::max(best, std::abs(s));
+    best = std::max(best, std::abs(dsp::cfloat(re[a], im[a])));
   }
   return static_cast<float>(best / total);
+}
+
+std::size_t DbpskPhaseDetector::ExtendMatch(dsp::const_sample_span samples,
+                                            std::size_t matched_end,
+                                            std::size_t limit) const {
+  const std::size_t win = config_.window_symbols * 8;
+  const std::size_t stride =
+      win * std::max<std::size_t>(config_.scan_stride_windows, 1);
+  while (matched_end < limit) {
+    const std::size_t probe =
+        std::min(matched_end + stride - win, samples.size());
+    const std::size_t len = std::min(win, samples.size() - probe);
+    if (len < 2 * 8) return samples.size();
+    if (WindowScore(samples.subspan(probe, len)) < config_.threshold) break;
+    matched_end = probe + len;
+  }
+  return matched_end;
 }
 
 std::optional<Detection> DbpskPhaseDetector::OnPeak(
@@ -182,22 +223,8 @@ std::optional<Detection> DbpskPhaseDetector::OnPeak(
   // is tagged whole without examining the remainder.
   const std::size_t cap =
       std::min(samples.size(), config_.max_scan_symbols * 8);
-  const std::size_t stride =
-      win * std::max<std::size_t>(config_.scan_stride_windows, 1);
-  std::size_t matched_end = std::min(win, samples.size());
-  while (matched_end < cap) {
-    const std::size_t probe =
-        std::min(matched_end + stride - win, samples.size());
-    const std::size_t len = std::min(win, samples.size() - probe);
-    if (len < 2 * 8) {
-      matched_end = samples.size();
-      break;
-    }
-    if (WindowScore(samples.subspan(probe, len)) < config_.threshold) {
-      break;
-    }
-    matched_end = probe + len;
-  }
+  const std::size_t matched_end =
+      ExtendMatch(samples, std::min(win, samples.size()), cap);
   const std::int64_t end =
       (matched_end >= cap) ? peak.end_sample
                            : peak.start_sample +
@@ -205,6 +232,20 @@ std::optional<Detection> DbpskPhaseDetector::OnPeak(
   c_tags.Inc();
   return Detection{Protocol::kWifi80211b, peak.start_sample, end,
                    std::min(1.0f, last_score_), "dbpsk-phase"};
+}
+
+bool DbpskPhaseDetector::MatchesWholePeak(
+    dsp::const_sample_span samples) const {
+  // The capped scan ends at the first window boundary win + k * stride at or
+  // past the cap; a peak no longer than that was scanned whole already.
+  const std::size_t win = config_.window_symbols * 8;
+  const std::size_t stride =
+      win * std::max<std::size_t>(config_.scan_stride_windows, 1);
+  const std::size_t cap =
+      std::min(samples.size(), config_.max_scan_symbols * 8);
+  std::size_t resume = win;
+  if (cap > win) resume += (cap - win + stride - 1) / stride * stride;
+  return ExtendMatch(samples, resume, samples.size()) >= samples.size();
 }
 
 int ClassifyPskOrder(dsp::const_sample_span x, std::size_t sps,

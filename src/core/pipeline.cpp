@@ -226,6 +226,114 @@ struct ActiveDetectors {
   ProtocolDetectors hooks;
 };
 
+/// The sample range [start, end) of `x` clamped to the block (empty when it
+/// lies outside).
+dsp::const_sample_span ClampedSpan(dsp::const_sample_span x,
+                                   std::int64_t start, std::int64_t end) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  const auto s = std::clamp<std::int64_t>(start, 0, n);
+  const auto e = std::clamp<std::int64_t>(end, 0, n);
+  return e <= s ? dsp::const_sample_span{}
+                : x.subspan(static_cast<std::size_t>(s),
+                            static_cast<std::size_t>(e - s));
+}
+
+/// The detector hook a detection came from.
+enum class TagHook : std::uint8_t { kTiming, kPhase, kOther };
+
+/// The dispatch veto (DESIGN.md §15). A timing tag of protocol P is withheld
+/// from dispatch when P's own phase detector did not tag the peak and another
+/// bundle claims the whole peak: that bundle's phase tag covers the peak to
+/// its end, and its claims_peak hook confirms the pattern over every window.
+/// A timing tag names its peak by its extent; a phase tag starts where its
+/// peak starts. Each claim is asked at most once per peak and bundle.
+class DispatchVeto {
+ public:
+  DispatchVeto(const std::vector<Detection>& detections,
+               const std::vector<TagHook>& hook_of,
+               const std::vector<ActiveDetectors>& active,
+               dsp::const_sample_span x, Supervisor* sup, StageCosts& costs)
+      : detections_(detections), hook_of_(hook_of), x_(x), sup_(sup),
+        costs_(costs) {
+    bool any = false;
+    for (const auto& a : active) {
+      if (!a.hooks.claims_peak) continue;
+      claims_[static_cast<std::size_t>(a.bundle->protocol)] =
+          &a.hooks.claims_peak;
+      any = true;
+    }
+    if (!any) return;
+    for (std::size_t i = 0; i < detections.size(); ++i) {
+      if (hook_of[i] == TagHook::kPhase) phase_.push_back(i);
+    }
+    std::stable_sort(phase_.begin(), phase_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return detections[a].start_sample <
+                              detections[b].start_sample;
+                     });
+    verdict_.assign(phase_.size(), Verdict::kUnasked);
+  }
+
+  /// True when detection i is a timing tag withheld from dispatch.
+  bool Vetoed(std::size_t i) {
+    if (phase_.empty() || hook_of_[i] != TagHook::kTiming) return false;
+    const Detection& t = detections_[i];
+    auto k = static_cast<std::size_t>(
+        std::lower_bound(phase_.begin(), phase_.end(), t.start_sample,
+                         [&](std::size_t j, std::int64_t start) {
+                           return detections_[j].start_sample < start;
+                         }) -
+        phase_.begin());
+    std::size_t claim = phase_.size();
+    for (; k < phase_.size(); ++k) {
+      const Detection& p = detections_[phase_[k]];
+      if (p.start_sample != t.start_sample) break;
+      if (p.protocol == t.protocol) return false;  // its own phase evidence
+      if (claim == phase_.size() && p.end_sample == t.end_sample &&
+          claims_[static_cast<std::size_t>(p.protocol)] != nullptr) {
+        claim = k;
+      }
+    }
+    if (claim == phase_.size()) return false;
+    if (verdict_[claim] == Verdict::kUnasked) {
+      verdict_[claim] = Ask(detections_[phase_[claim]]) ? Verdict::kClaimed
+                                                        : Verdict::kOpen;
+    }
+    return verdict_[claim] == Verdict::kClaimed;
+  }
+
+ private:
+  enum class Verdict : std::uint8_t { kUnasked, kClaimed, kOpen };
+
+  /// Runs the claiming bundle's hook over the peak's clamped samples. A
+  /// contained throw claims nothing.
+  bool Ask(const Detection& claimer) {
+    const auto span =
+        ClampedSpan(x_, claimer.start_sample, claimer.end_sample);
+    if (span.empty()) return false;
+    const auto& hook = *claims_[static_cast<std::size_t>(claimer.protocol)];
+    StageScope scope(costs_, Stage::kPhase, 0);
+    bool claimed = false;
+    if (sup_ != nullptr) {
+      sup_->Contain([&] { claimed = hook(span); });
+    } else {
+      claimed = hook(span);
+    }
+    return claimed;
+  }
+
+  const std::vector<Detection>& detections_;
+  const std::vector<TagHook>& hook_of_;
+  dsp::const_sample_span x_;
+  Supervisor* sup_;
+  StageCosts& costs_;
+  std::array<const std::function<bool(dsp::const_sample_span)>*,
+             kProtocolCount>
+      claims_{};
+  std::vector<std::size_t> phase_;  // phase-tag indices by start sample
+  std::vector<Verdict> verdict_;    // per phase_ entry, asked lazily
+};
+
 /// Instantiates detector hooks for every mask-enabled bundle, ordered by
 /// detect_rank (the historical detector call order).
 std::vector<ActiveDetectors> MakeActiveDetectors(std::uint32_t bundle_mask,
@@ -358,6 +466,10 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   CollisionDetector collision;  // protocol-agnostic, stays pipeline-level
 
   std::vector<Detection>& detections = report.detections;
+  // The hook behind each detection, parallel to `detections`: mark(h) tags
+  // every detection appended since the last mark.
+  std::vector<TagHook> hook_of;
+  const auto mark = [&](TagHook h) { hook_of.resize(detections.size(), h); };
   std::uint64_t peak_cursor = 0;
 
   // Stage boundary for the cheap detectors: with a supervisor, a throwing
@@ -373,14 +485,8 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     }
   };
 
-  // A peak's sample range clamped to the block (empty when it lies outside).
   const auto peak_span = [&x](const Peak& p) {
-    const auto n = static_cast<std::int64_t>(x.size());
-    const auto s = std::clamp<std::int64_t>(p.start_sample, 0, n);
-    const auto e = std::clamp<std::int64_t>(p.end_sample, 0, n);
-    return e <= s ? dsp::const_sample_span{}
-                  : x.subspan(static_cast<std::size_t>(s),
-                              static_cast<std::size_t>(e - s));
+    return ClampedSpan(x, p.start_sample, p.end_sample);
   };
 
   const auto handle_peaks = [&](std::span<const Peak> fresh) {
@@ -392,6 +498,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
         auto d = a.hooks.on_peaks(fresh);
         detections.insert(detections.end(), d.begin(), d.end());
       });
+      mark(TagHook::kTiming);
     }
     if (config_.collision_detector) {
       for (const Peak& p : fresh) {
@@ -402,6 +509,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
           auto d = collision.OnPeak(p, span);
           detections.insert(detections.end(), d.begin(), d.end());
         });
+        mark(TagHook::kOther);
       }
     }
     if (any_on_peak) {
@@ -414,6 +522,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
           contain([&] {
             if (auto d = a.hooks.on_peak(p, span)) detections.push_back(*d);
           });
+          mark(TagHook::kPhase);
         }
       }
     }
@@ -444,6 +553,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
       StageScope scope(costs, Stage::kFreq, n);
       auto d = a.hooks.on_chunk(chunk, static_cast<std::int64_t>(at));
       detections.insert(detections.end(), d.begin(), d.end());
+      mark(TagHook::kOther);
     }
     const auto fresh = peaks.CompletedSince(peak_cursor);
     peak_cursor = peaks.CompletedCount();
@@ -459,30 +569,42 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     StageScope scope(costs, Stage::kFreq, 0);
     auto d = a.hooks.chunk_flush();
     detections.insert(detections.end(), d.begin(), d.end());
+    mark(TagHook::kOther);
   }
 
   // Stage 2: dispatch — merge detections per protocol and analyze only those
   // sample ranges. Under load shedding, low-confidence tags stay in the
-  // detection log but are not worth demodulator time. Every decision is
-  // counted per protocol (tagged = forwarded to merge, rejected = below the
-  // confidence floor) so an operator can see what load shedding discards.
+  // detection log but are not worth demodulator time; so do timing tags on
+  // peaks another protocol's phase evidence claims whole (DispatchVeto).
+  // Every decision is counted per protocol (tagged = forwarded to merge,
+  // rejected = below the confidence floor, vetoed = withheld by the veto) so
+  // an operator can see what is discarded.
   static obs::Counter& c_detections = obs::Registry::Default().GetCounter(
       "rfdump_detect_detections_total");
   static PerProtocolCounter c_tagged("rfdump_dispatch_tagged_total",
                                      "protocol", ProtocolName);
   static PerProtocolCounter c_rejected("rfdump_dispatch_rejected_total",
                                        "protocol", ProtocolName);
+  static PerProtocolCounter c_vetoed("rfdump_dispatch_vetoed_total",
+                                     "protocol", ProtocolName);
   static PerProtocolCounter c_forwarded("rfdump_dispatch_forwarded_total",
                                         "protocol", ProtocolName);
   c_detections.Inc(detections.size());
-  std::uint64_t tagged_n = 0, rejected_n = 0;
+  std::uint64_t tagged_n = 0, rejected_n = 0, vetoed_n = 0;
   const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
+  DispatchVeto veto(detections, hook_of, active, x, sup, costs);
   std::vector<Detection> padded;
   padded.reserve(detections.size());
-  for (const auto& d : detections) {
+  for (std::size_t i = 0; i < detections.size(); ++i) {
+    const Detection& d = detections[i];
     if (d.confidence < config_.analysis.min_dispatch_confidence) {
       c_rejected.of(d.protocol).Inc();
       ++rejected_n;
+      continue;
+    }
+    if (veto.Vetoed(i)) {
+      c_vetoed.of(d.protocol).Inc();
+      ++vetoed_n;
       continue;
     }
     c_tagged.of(d.protocol).Inc();
@@ -499,6 +621,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   if (!report.health.empty()) {
     report.health.back().tagged_detections = tagged_n;
     report.health.back().rejected_detections = rejected_n;
+    report.health.back().vetoed_detections = vetoed_n;
     report.health.back().forwarded_intervals = report.dispatched.size();
   }
   DetectOutput out;

@@ -241,6 +241,7 @@ void StreamingMonitor::RecordHealth(const HealthReport& h) {
   summary_.sanitized_samples += h.sanitized_samples;
   summary_.tagged_detections += h.tagged_detections;
   summary_.rejected_detections += h.rejected_detections;
+  summary_.vetoed_detections += h.vetoed_detections;
   summary_.forwarded_intervals += h.forwarded_intervals;
   summary_.supervised_intervals += h.supervised_intervals;
   summary_.deadline_intervals += h.deadline_intervals;

@@ -161,6 +161,7 @@ std::vector<std::uint8_t> HealthMsg::Encode() const {
   w.F64(h.block_load);
   w.U64(h.tagged_detections);
   w.U64(h.rejected_detections);
+  w.U64(h.vetoed_detections);
   w.U64(h.forwarded_intervals);
   w.U64(h.supervised_intervals);
   w.U64(h.deadline_intervals);
@@ -189,6 +190,7 @@ std::optional<HealthMsg> HealthMsg::Decode(std::span<const std::uint8_t> p) {
   h.block_load = r.F64();
   h.tagged_detections = r.U64();
   h.rejected_detections = r.U64();
+  h.vetoed_detections = r.U64();
   h.forwarded_intervals = r.U64();
   h.supervised_intervals = r.U64();
   h.deadline_intervals = r.U64();

@@ -261,6 +261,7 @@ TEST(Messages, HealthRoundTripAllFields) {
   h.block_load = 1.75;
   h.tagged_detections = 11;
   h.rejected_detections = 22;
+  h.vetoed_detections = 12;
   h.forwarded_intervals = 33;
   h.supervised_intervals = 44;
   h.deadline_intervals = 5;
@@ -286,6 +287,7 @@ TEST(Messages, HealthRoundTripAllFields) {
   EXPECT_DOUBLE_EQ(r.block_load, h.block_load);
   EXPECT_EQ(r.tagged_detections, h.tagged_detections);
   EXPECT_EQ(r.rejected_detections, h.rejected_detections);
+  EXPECT_EQ(r.vetoed_detections, h.vetoed_detections);
   EXPECT_EQ(r.forwarded_intervals, h.forwarded_intervals);
   EXPECT_EQ(r.supervised_intervals, h.supervised_intervals);
   EXPECT_EQ(r.deadline_intervals, h.deadline_intervals);

@@ -435,6 +435,8 @@ TEST(StreamingFault, DispatchCountersAgreeWithHealthAndFaultLog) {
       SumProtocolFamily("rfdump_dispatch_tagged_total");
   const std::uint64_t rejected0 =
       SumProtocolFamily("rfdump_dispatch_rejected_total");
+  const std::uint64_t vetoed0 =
+      SumProtocolFamily("rfdump_dispatch_vetoed_total");
   const std::uint64_t forwarded0 =
       SumProtocolFamily("rfdump_dispatch_forwarded_total");
 
@@ -445,12 +447,14 @@ TEST(StreamingFault, DispatchCountersAgreeWithHealthAndFaultLog) {
   // is far shorter than the default history limit).
   const core::HealthSummary& sum = monitor.summary();
   EXPECT_EQ(sum.blocks, monitor.health().size());
-  std::uint64_t h_tagged = 0, h_rejected = 0, h_forwarded = 0, h_sanitized = 0;
+  std::uint64_t h_tagged = 0, h_rejected = 0, h_vetoed = 0, h_forwarded = 0,
+                h_sanitized = 0;
   std::uint32_t h_gaps = 0;
   std::int64_t h_gap_samples = 0;
   for (const auto& h : monitor.health()) {
     h_tagged += h.tagged_detections;
     h_rejected += h.rejected_detections;
+    h_vetoed += h.vetoed_detections;
     h_forwarded += h.forwarded_intervals;
     h_sanitized += h.sanitized_samples;
     h_gaps += h.gap_count;
@@ -458,11 +462,13 @@ TEST(StreamingFault, DispatchCountersAgreeWithHealthAndFaultLog) {
   }
   EXPECT_EQ(sum.tagged_detections, h_tagged);
   EXPECT_EQ(sum.rejected_detections, h_rejected);
+  EXPECT_EQ(sum.vetoed_detections, h_vetoed);
   EXPECT_EQ(sum.forwarded_intervals, h_forwarded);
   EXPECT_EQ(sum.sanitized_samples, h_sanitized);
   EXPECT_EQ(sum.gap_count, h_gaps);
   EXPECT_EQ(sum.gap_samples, h_gap_samples);
   EXPECT_GT(sum.tagged_detections, 0u);
+  EXPECT_GT(sum.vetoed_detections, 0u);  // the ping air raises false BT tags
   EXPECT_GT(sum.forwarded_intervals, 0u);
 
   // Summary vs the front end's ground-truth fault log.
@@ -491,17 +497,20 @@ TEST(StreamingFault, DispatchCountersAgreeWithHealthAndFaultLog) {
       SumProtocolFamily("rfdump_dispatch_tagged_total") - tagged0;
   const std::uint64_t d_rejected =
       SumProtocolFamily("rfdump_dispatch_rejected_total") - rejected0;
+  const std::uint64_t d_vetoed =
+      SumProtocolFamily("rfdump_dispatch_vetoed_total") - vetoed0;
   const std::uint64_t d_forwarded =
       SumProtocolFamily("rfdump_dispatch_forwarded_total") - forwarded0;
   EXPECT_EQ(d_tagged, sum.tagged_detections);
   EXPECT_EQ(d_rejected, sum.rejected_detections);
+  EXPECT_EQ(d_vetoed, sum.vetoed_detections);
   EXPECT_EQ(d_forwarded, sum.forwarded_intervals);
-  // Every detection is either tagged or rejected at dispatch.
-  EXPECT_EQ(d_tagged + d_rejected,
+  // Every detection is tagged, rejected or vetoed at dispatch.
+  EXPECT_EQ(d_tagged + d_rejected + d_vetoed,
             reg.CounterValue("rfdump_detect_detections_total") - detections0);
 #else
   (void)gaps0; (void)gap_samples0; (void)sanitized0; (void)detections0;
-  (void)tagged0; (void)rejected0; (void)forwarded0;
+  (void)tagged0; (void)rejected0; (void)vetoed0; (void)forwarded0;
 #endif
 }
 
