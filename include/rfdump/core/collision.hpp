@@ -28,23 +28,6 @@ struct CollisionInfo {
 
 class CollisionDetector {
  public:
-  struct Config {
-    /// Power-profile averaging window (samples).
-    std::size_t window = 64;
-    /// Minimum sustained power step, as a linear ratio. 1.8 catches the
-    /// common equal-power collision (step = 2.0) with margin for noise.
-    double step_ratio = 1.8;
-    /// A step must persist for this many samples to count (rejects fades
-    /// and sub-window blips, which block quantization can smear across two
-    /// windows).
-    std::size_t persistence = 256;
-    /// Segments shorter than this are merged into their neighbour.
-    std::size_t min_segment = 256;
-  };
-
-  CollisionDetector();
-  explicit CollisionDetector(Config config);
-
   /// Analyzes one peak's samples. `peak.start_sample` anchors the absolute
   /// positions in the result.
   [[nodiscard]] CollisionInfo Analyze(const Peak& peak,
@@ -54,9 +37,6 @@ class CollisionDetector {
   /// or nothing if no collision was found.
   [[nodiscard]] std::vector<Detection> OnPeak(
       const Peak& peak, dsp::const_sample_span samples) const;
-
- private:
-  Config config_;
 };
 
 }  // namespace rfdump::core

@@ -1,8 +1,8 @@
 #pragma once
-// Frequency-domain Bluetooth detector (paper §3.4/§4.6): per-chunk FFT,
-// energy folded into 8 x 1 MHz bins; a burst whose energy is concentrated in
-// a single bin is a Bluetooth candidate. A start/end state machine tracks
-// burst extents per channel.
+// Frequency-domain Bluetooth detector (paper §3.4/§4.6): per-chunk 256-point
+// FFT, energy folded into 8 x 1 MHz bins; a burst whose energy is
+// concentrated in a single bin is a Bluetooth candidate. A start/end state
+// machine tracks burst extents per channel.
 
 #include <array>
 #include <cstdint>
@@ -16,10 +16,6 @@ namespace rfdump::core {
 class BluetoothFreqDetector {
  public:
   struct Config {
-    std::size_t fft_size = 256;
-    std::size_t bins = 8;               // 1 MHz each across the 8 MHz band
-    float dominance = 0.55f;            // fraction of energy in the top bin
-    double min_power_over_floor = 2.5;  // linear; chunk must be this x floor
     double noise_floor_power = 1.0;
   };
 

@@ -10,6 +10,7 @@
 // testing:: entry points (MutateInput) forward here unchanged.
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -17,6 +18,12 @@
 #include "rfdump/util/rng.hpp"
 
 namespace rfdump::core {
+
+/// One corpus input: the `header` bytes (the sub-mode byte and any
+/// target-specific prefix) followed by `body`.
+[[nodiscard]] std::vector<std::uint8_t> FuzzInput(
+    std::initializer_list<std::uint8_t> header,
+    std::span<const std::uint8_t> body);
 
 /// Payload bytes -> descrambled bit vector (one bit per byte, LSB).
 [[nodiscard]] std::vector<std::uint8_t> FuzzBytesToBits(

@@ -57,12 +57,6 @@ class PeakDetector {
     double noise_floor_power = 1.0;  // known noise power (emulator default)
     double gate_db = kEnergyGateDb;
     std::size_t averaging_window = kAveragingWindow;
-    /// Peaks separated by less than this many samples are merged (prevents
-    /// noise from splitting one packet into several peaks).
-    std::size_t merge_gap_samples = 8;
-    /// Instantaneous |x|^2 threshold factor (relative to gate) used to refine
-    /// the peak start position.
-    double instant_factor = 0.5;
     std::size_t history_capacity = 4096;
   };
 

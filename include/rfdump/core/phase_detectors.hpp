@@ -40,17 +40,6 @@ struct PhaseInfo {
 /// GFSK / Bluetooth phase detector.
 class GfskPhaseDetector {
  public:
-  struct Config {
-    float min_frac_small_d2 = 0.75f;  // continuous-phase fraction required
-    float max_mean_abs_d2 = 0.22f;    // radians
-    std::size_t max_samples = 1024;
-    std::size_t smooth = 4;           // boxcar vs full-band noise
-    double max_burst_us = 3000.0;     // DH5 bound, like the timing detector
-  };
-
-  GfskPhaseDetector();
-  explicit GfskPhaseDetector(Config config);
-
   /// Checks one peak; `samples` is the peak's sample range.
   [[nodiscard]] std::optional<Detection> OnPeak(const Peak& peak,
                                                 dsp::const_sample_span samples);
@@ -60,25 +49,19 @@ class GfskPhaseDetector {
   int last_channel() const { return last_channel_; }
 
  private:
-  Config config_;
   int last_channel_ = -1;
 };
 
 /// 802.11b DBPSK/Barker phase-pattern detector.
 ///
-/// Scans the burst in windows of `window_symbols` and tags the prefix that
-/// matches the Barker chipping pattern. A 1/2 Mbps frame matches end to end
-/// (Barker spreading covers the whole frame); a CCK (5.5/11 Mbps) frame only
-/// matches through its 1 Mbps PLCP preamble + header, so just that prefix is
+/// Scans the burst in 16-symbol windows and tags the prefix that matches the
+/// Barker chipping pattern. A 1/2 Mbps frame matches end to end (Barker
+/// spreading covers the whole frame); a CCK (5.5/11 Mbps) frame only matches
+/// through its 1 Mbps PLCP preamble + header, so just that prefix is
 /// forwarded — the selectivity behaviour the paper's Table 4 measures.
 class DbpskPhaseDetector {
  public:
   struct Config {
-    float threshold = 0.45f;        // normalized pattern correlation
-    std::size_t window_symbols = 16;  // prefix-scan window (16 us)
-    /// Scan cap: if the pattern still matches after this much of the burst,
-    /// the whole peak is tagged without examining the rest.
-    std::size_t max_scan_symbols = 512;
     /// Sampling optimization (paper 3.1, unimplemented there): during the
     /// prefix scan, examine only every k-th window. Cuts phase-detection cost
     /// ~k x for long bursts at the price of k-window boundary resolution.
@@ -91,10 +74,10 @@ class DbpskPhaseDetector {
   [[nodiscard]] std::optional<Detection> OnPeak(const Peak& peak,
                                                 dsp::const_sample_span samples);
 
-  /// True when the pattern holds over the whole peak, not just its first
-  /// max_scan_symbols. Only meaningful for a peak whose OnPeak tag already
-  /// reaches the peak end: the window scan resumes where that capped scan
-  /// stopped instead of starting again at the peak start.
+  /// True when the pattern holds over the whole peak, not just up to the
+  /// 512-symbol scan cap. Only meaningful for a peak whose OnPeak tag
+  /// already reaches the peak end: the window scan resumes where that capped
+  /// scan stopped instead of starting again at the peak start.
   [[nodiscard]] bool MatchesWholePeak(dsp::const_sample_span samples) const;
 
   /// Correlation score of the first window of the last OnPeak call.

@@ -209,12 +209,10 @@ class RFDumpPipeline {
     /// enabled via EnableBundle().
     std::uint32_t bundle_mask = DefaultBundleMask();
     double noise_floor_power = 1.0;
-    double dispatch_pad_us = 40.0;  // padding around dispatched intervals
-    /// Input health scan: count non-finite samples and samples at the ADC
-    /// rail before detection, reported via MonitorReport::health.
-    bool health_scan = true;
-    /// |I| or |Q| at or above ~this amplitude counts as saturated (matches
-    /// the emulator's default ADC full scale). 0 disables the check.
+    /// The input health scan, which always runs before detection, reports
+    /// non-finite and saturated samples via MonitorReport::health. |I| or
+    /// |Q| at or above ~this amplitude counts as saturated (matches the
+    /// emulator's default ADC full scale). 0 disables the saturation count.
     float saturation_amplitude = 64.0f;
     AnalysisConfig analysis;
     /// Supervision layer (non-owning; DESIGN.md §9). When set, every
@@ -266,7 +264,6 @@ class NaivePipeline {
     /// intervals (energy gate). Same bit layout as RFDumpPipeline's mask.
     std::uint32_t bundle_mask = DefaultBundleMask();
     double noise_floor_power = 1.0;
-    double dispatch_pad_us = 40.0;
     AnalysisConfig analysis;
 
     void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }

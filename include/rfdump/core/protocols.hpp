@@ -60,7 +60,4 @@ struct ProtocolFeatures {
 /// The full feature table (Table 2 of the paper, plus the microwave row).
 [[nodiscard]] std::span<const ProtocolFeatures> FeatureTable();
 
-/// Rows for one protocol.
-[[nodiscard]] std::vector<ProtocolFeatures> FeaturesFor(Protocol p);
-
 }  // namespace rfdump::core

@@ -117,15 +117,12 @@ class StreamingMonitor {
     /// When a block's load exceeds the budget the monitor sheds one stage:
     ///   1: only default-enabled bundles stay in the bundle mask (BLE,
     ///      ZigBee and microwave go), freq and collision detectors off
-    ///   2: + demodulation only for tags with confidence >= shed_min_confidence
+    ///   2: + demodulation only for tags with confidence >= 0.7
     ///   3: + no demodulation at all (detection-only)
     double cpu_budget = 0.0;
     /// A stage is restored only after `shed_resume_blocks` consecutive
-    /// blocks below `shed_resume_fraction * cpu_budget` (hysteresis).
-    double shed_resume_fraction = 0.75;
+    /// blocks below 0.75 x cpu_budget (hysteresis).
     int shed_resume_blocks = 2;
-    /// Dispatch-confidence floor applied at shed stage >= 2.
-    float shed_min_confidence = 0.7f;
 
     /// Per-block health reports retained by health() (a ring: the oldest
     /// entry is dropped once the limit is reached, so a long-running monitor

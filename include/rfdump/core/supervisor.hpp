@@ -58,8 +58,6 @@ enum class Outcome : std::uint8_t {
 /// Circuit-breaker state for one protocol (DESIGN.md §9 state machine).
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-[[nodiscard]] const char* BreakerStateName(BreakerState s);
-
 class Supervisor {
  public:
   struct Config {

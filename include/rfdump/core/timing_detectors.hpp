@@ -13,52 +13,30 @@
 
 namespace rfdump::core {
 
-/// 802.11 timing detector: tags peak pairs separated by SIFS (10 us +/- d) —
-/// a data frame and its MAC ACK — and peaks separated by DIFS + k x SlotTime
-/// for k in [0, CW] (contention). Both peaks of a matching pair are tagged.
+/// 802.11 timing detector: tags peak pairs separated by SIFS (10 us +/- 3) —
+/// a data frame and its MAC ACK — and peaks separated by DIFS (50 us) + k x
+/// SlotTime (20 us) for k in [0, 64] (contention). Both peaks of a matching
+/// pair are tagged.
 class WifiTimingDetector {
  public:
-  struct Config {
-    double sifs_us = 10.0;
-    double difs_us = 50.0;
-    double slot_us = 20.0;
-    int max_backoff = 64;          // CW bound (paper uses 64)
-    double tolerance_us = 3.0;     // +/- delta on SIFS and on each DIFS+k*ST
-  };
-
-  WifiTimingDetector();
-  explicit WifiTimingDetector(Config config);
-
   /// Feeds newly completed peaks (in order); returns new detections.
   std::vector<Detection> OnPeaks(std::span<const Peak> peaks);
 
  private:
-  Config config_;
   bool have_prev_ = false;
   Peak prev_{};
 };
 
 /// Bluetooth timing detector: a peak whose start lies an integer number of
 /// 625 us slots after the start of a recent Bluetooth-candidate peak is
-/// tagged. A small cache of active "sessions" (slot-aligned transmitters) is
-/// checked before the full history search; cache entries carry hit counters
-/// that drive confidence and eviction (paper §4.4).
+/// tagged (+/- 4 us, up to 400 slots back; only bursts of 80 us to 3 ms
+/// qualify). A small cache of active "sessions" (slot-aligned transmitters)
+/// is checked before the full history search; cache entries carry hit
+/// counters that drive confidence and eviction (paper §4.4).
 class BluetoothTimingDetector {
  public:
   struct Config {
-    double slot_us = 625.0;
-    double tolerance_us = 4.0;
-    /// Maximum slot distance searched. With only 8 of 79 hop channels
-    /// visible, consecutive *visible* packets of one session are ~100 slots
-    /// apart on average, so the bound must be generous or every visibility
-    /// gap restarts the session (inflating the miss floor).
-    int max_slots = 400;
-    std::size_t history = 128;     // recent peak starts searched
     std::size_t cache_size = 4;    // active-session cache entries
-    /// Bluetooth bursts are at most 5 slots (DH5 ~2.9 ms); longer peaks are
-    /// never Bluetooth.
-    double max_burst_us = 3000.0;
-    double min_burst_us = 80.0;    // shortest real packet (ID/NULL ~126 us)
   };
 
   BluetoothTimingDetector();
@@ -76,8 +54,6 @@ class BluetoothTimingDetector {
     int hits = 0;
   };
 
-  bool SlotAligned(std::int64_t delta_samples) const;
-
   Config config_;
   std::deque<std::int64_t> recent_starts_;
   std::vector<CacheEntry> cache_;
@@ -89,44 +65,21 @@ class BluetoothTimingDetector {
 /// (16.67 ms) with long on-times and near-constant power across peaks.
 class MicrowaveTimingDetector {
  public:
-  struct Config {
-    double period_us = 16667.0;    // 60 Hz mains
-    double tolerance_us = 400.0;
-    double min_burst_us = 3000.0;  // ovens are on for milliseconds at a time
-    float power_ratio_tolerance = 0.5f;  // peak-to-peak mean power agreement
-  };
-
-  MicrowaveTimingDetector();
-  explicit MicrowaveTimingDetector(Config config);
-
   std::vector<Detection> OnPeaks(std::span<const Peak> peaks);
 
  private:
-  Config config_;
   bool have_prev_ = false;
   Peak prev_{};
   int run_ = 0;  // consecutive period-aligned bursts
 };
 
 /// ZigBee (802.15.4) timing detector: gaps of SIFS (192 us), LIFS (640 us) or
-/// multiples of the 320 us backoff slot.
+/// 1 to 16 backoff slots of 320 us, each +/- 8 us.
 class ZigbeeTimingDetector {
  public:
-  struct Config {
-    double sifs_us = 192.0;
-    double lifs_us = 640.0;
-    double slot_us = 320.0;
-    int max_slots = 16;
-    double tolerance_us = 8.0;
-  };
-
-  ZigbeeTimingDetector();
-  explicit ZigbeeTimingDetector(Config config);
-
   std::vector<Detection> OnPeaks(std::span<const Peak> peaks);
 
  private:
-  Config config_;
   bool have_prev_ = false;
   Peak prev_{};
 };

@@ -30,13 +30,9 @@ inline constexpr std::array<int, 13> kBarker13 = {+1, +1, +1, +1, +1, -1, -1,
 [[nodiscard]] SampleVec CorrelateChips(const_sample_span x,
                                        std::span<const int> chips);
 
-/// Normalized correlation magnitude in [0, 1]: |corr| / (sqrt(N) * ||x_win||).
-/// A perfectly matched window scores 1. Used for peak-picking despread timing.
-[[nodiscard]] std::vector<float> NormalizedCorrelateChips(
-    const_sample_span x, std::span<const int> chips);
-
-/// One-pass variant producing both the complex correlations and the
-/// normalized magnitudes (the 802.11b sync scan needs both). `corr` and
+/// One pass producing both the complex correlations and the normalized
+/// magnitudes |corr| / (sqrt(N) * ||x_win||) in [0, 1], where a perfectly
+/// matched window scores 1 (the 802.11b sync scan needs both). `corr` and
 /// `norm` are resized to x.size() - chips.size() + 1; reusing the same
 /// buffers across calls avoids per-window allocation.
 void CorrelateChipsNormalized(const_sample_span x, std::span<const int> chips,

@@ -24,9 +24,6 @@ namespace rfdump::dsp {
 /// Non-finite samples contribute 0.
 [[nodiscard]] double MeanPower(const_sample_span x);
 
-/// Total energy (sum of |x|^2) of a span. Non-finite samples contribute 0.
-[[nodiscard]] double TotalEnergy(const_sample_span x);
-
 /// Streaming moving-average of instantaneous power over a fixed window.
 /// This is the protocol-agnostic computation at the heart of the paper's peak
 /// detector (§4.3): a 20-sample (2.5 us) running average smooths over noise so

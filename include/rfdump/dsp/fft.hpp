@@ -27,13 +27,10 @@ class FftPlan {
   /// In-place inverse DFT (normalized by 1/N, so Inverse(Forward(x)) == x).
   void Inverse(sample_span data) const;
 
-  /// Convenience: forward transform of `input` (zero-padded / truncated to the
-  /// plan size) into a fresh buffer.
-  [[nodiscard]] SampleVec ForwardCopy(const_sample_span input) const;
-
-  /// Power spectrum |X[k]|^2 of `input` after applying `window` (empty window
-  /// means rectangular). The result has plan-size bins in standard FFT order
-  /// (DC first, negative frequencies in the upper half).
+  /// Power spectrum |X[k]|^2 of `input` (zero-padded / truncated to the plan
+  /// size) after applying `window` (empty window means rectangular). The
+  /// result has plan-size bins in standard FFT order (DC first, negative
+  /// frequencies in the upper half).
   [[nodiscard]] std::vector<float> PowerSpectrum(
       const_sample_span input, std::span<const float> window = {}) const;
 
@@ -49,8 +46,5 @@ class FftPlan {
 [[nodiscard]] constexpr bool IsPowerOfTwo(std::size_t n) {
   return n != 0 && (n & (n - 1)) == 0;
 }
-
-/// Smallest power of two >= n.
-[[nodiscard]] std::size_t NextPowerOfTwo(std::size_t n);
 
 }  // namespace rfdump::dsp

@@ -1,9 +1,11 @@
 #pragma once
 // FIR filtering and filter design.
 //
-// Used by: the 802.11b modulator (88 Msps anti-alias LPF before decimation to
-// the 8 Msps front-end rate), the Bluetooth channelizer (1 MHz channel select),
-// GFSK pulse shaping (Gaussian), and the polyphase resampler prototype.
+// Used by: the GFSK channel front end (DesignLowPass, 1 MHz channel select),
+// GFSK pulse shaping (DesignGaussian) and the polyphase resampler prototype
+// (DesignLowPass). No receive path runs FirFilter any more (the GFSK front end
+// applies its taps through the fir_complex kernel directly); it stays as the
+// streaming reference that bench/micro_dsp and perfbench's dsp.fir row time.
 
 #include <cstddef>
 #include <span>
@@ -28,18 +30,6 @@ class FirFilter {
   /// Filters `input`, appending `input.size()` output samples to `out`.
   void Process(const_sample_span input, SampleVec& out);
 
-  /// Convenience: filter a whole buffer in one shot (stateless call pattern;
-  /// the internal history still advances).
-  [[nodiscard]] SampleVec Filtered(const_sample_span input);
-
-  /// Clears streaming history.
-  void Reset();
-
-  /// Group delay in samples ((N-1)/2 for the linear-phase designs below).
-  double GroupDelay() const {
-    return (static_cast<double>(taps_.size()) - 1.0) / 2.0;
-  }
-
  private:
   std::vector<float> taps_;
   SampleVec history_;  // last (taps-1) input samples
@@ -57,10 +47,5 @@ class FirFilter {
 /// symbol, `span_symbols` the filter length in symbols.
 [[nodiscard]] std::vector<float> DesignGaussian(double bt, std::size_t sps,
                                                 std::size_t span_symbols);
-
-/// Root-raised-cosine design (rolloff `beta`), unit energy. Used by the
-/// ZigBee O-QPSK shaper and in tests as a generic matched filter.
-[[nodiscard]] std::vector<float> DesignRootRaisedCosine(
-    double beta, std::size_t sps, std::size_t span_symbols);
 
 }  // namespace rfdump::dsp

@@ -11,24 +11,14 @@
 
 namespace rfdump::dsp {
 
-/// Instantaneous phase of each sample, in (-pi, pi].
-[[nodiscard]] std::vector<float> InstantPhase(const_sample_span x);
-
 /// Phase difference between consecutive samples computed as
 /// arg(x[n] * conj(x[n-1])) — naturally wrapped into (-pi, pi], which is the
 /// first derivative of phase without explicit unwrapping. Output has
 /// x.size()-1 entries (empty input -> empty output).
 [[nodiscard]] std::vector<float> PhaseDiff(const_sample_span x);
 
-/// Second difference of phase: diff of PhaseDiff, wrapped to (-pi, pi].
-/// Output has x.size()-2 entries.
-[[nodiscard]] std::vector<float> PhaseSecondDiff(const_sample_span x);
-
 /// Wraps an angle to (-pi, pi].
 [[nodiscard]] float WrapPhase(float angle);
-
-/// Unwraps a phase sequence in place (removes 2*pi jumps).
-void UnwrapInPlace(std::vector<float>& phase);
 
 /// Histogram of angles over (-pi, pi] with `bins` equal bins. Used by the
 /// constellation classifier: a BPSK burst fills 2 opposite bins, QPSK 4, etc.

@@ -31,8 +31,6 @@ enum class FaultKind {
   kCfoDrift,    // carrier frequency offset (+ linear drift) over the stream
 };
 
-[[nodiscard]] const char* FaultKindName(FaultKind kind);
-
 /// Ground-truth record for one injected fault. Positions are in the original
 /// (pre-impairment) stream timeline, the same timeline segment timestamps and
 /// Ether truth records use.

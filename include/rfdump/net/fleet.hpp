@@ -77,9 +77,8 @@ class MonitorSensorSink final : public core::ResultSink {
  public:
   explicit MonitorSensorSink(SensorSession& session) : session_(session) {}
 
-  /// One generic override covers every registered protocol: the pipeline's
-  /// event view already carries wifi/bt/zigbee (via their shims) plus any
-  /// registry-era protocol, so the typed sink callbacks are not needed here.
+  /// One override covers every registered protocol: every decode reaches
+  /// the sink as one core::ProtocolEvent, whatever bundle produced it.
   void OnEvent(const core::ProtocolEvent& event) override;
   void OnHealth(const core::HealthReport& report) override;
 
@@ -125,8 +124,6 @@ class Fleet {
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] std::int64_t tick() const { return now_; }
-  /// Sensor i's local sample clock at the current tick.
-  [[nodiscard]] std::int64_t LocalTime(std::size_t i) const;
 
   SensorSession& session(std::size_t i) { return nodes_[i]->session; }
   FaultyLink& uplink(std::size_t i) { return nodes_[i]->uplink; }

@@ -78,8 +78,6 @@ class Transport {
   [[nodiscard]] virtual const Stats& stats() const = 0;
 };
 
-[[nodiscard]] const char* TransportStateName(Transport::State state);
-
 /// One side of an in-memory duplex channel built from two FaultyLinks. The
 /// links are owned elsewhere (Fleet's Node keeps them, so chaos tests keep
 /// their uplink()/downlink() handles and fault logs); each side sends into

@@ -33,11 +33,6 @@ struct DecodedFrame {
 class Demodulator {
  public:
   struct Config {
-    /// Minimum normalized Barker correlation to consider a chip window part
-    /// of a DSSS transmission.
-    float correlation_threshold = 0.55f;
-    /// Symbols of consecutive correlation needed to attempt sync.
-    std::size_t min_sync_symbols = 24;
     /// Decode CCK (5.5/11 Mbps) payloads via codeword correlation. This goes
     /// beyond the paper's prototype (whose BBN decoder handled 1/2 Mbps
     /// only); with just 8 of the 22 MHz captured it needs high SNR.

@@ -26,12 +26,9 @@ inline constexpr double kGaussianBt = 0.5;
 [[nodiscard]] dsp::SampleVec GfskModulate(std::span<const std::uint8_t> bits,
                                           std::size_t ramp_symbols = 2);
 
-/// FM discriminator: per-sample instantaneous frequency estimate
-/// (phase difference of consecutive samples), length x.size()-1.
-[[nodiscard]] std::vector<float> FmDiscriminate(dsp::const_sample_span x);
-
-/// Allocation-free variant: resizes `out` to x.size()-1 (reuse one buffer
-/// across the 79-channel scan instead of allocating per channel).
+/// FM discriminator: per-sample instantaneous frequency estimate (phase
+/// difference of consecutive samples). Resizes `out` to x.size()-1, so one
+/// buffer can be reused across channels instead of allocating per channel.
 void FmDiscriminateInto(dsp::const_sample_span x, std::vector<float>& out);
 
 /// Demodulates a discriminator output back to bits given the sample offset of

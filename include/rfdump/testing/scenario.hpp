@@ -51,10 +51,6 @@ class ScenarioBuilder {
                            std::string name = "scenario");
 
   // ------------------------------------------------------------ environment
-  /// AWGN noise floor power (emu::Ether::Config::noise_power).
-  ScenarioBuilder& NoisePower(double power);
-  /// Front-end ADC quantization (0 = ideal).
-  ScenarioBuilder& AdcBits(unsigned bits, float full_scale = 64.0f);
   /// dB added to every traffic op's configured SNR at render time — the
   /// harness's SNR-sweep knob (one builder, swept offsets).
   ScenarioBuilder& SnrOffsetDb(double db);
@@ -69,14 +65,6 @@ class ScenarioBuilder {
   /// the scenario's current latest activity.
   ScenarioBuilder& WifiPing(traffic::WifiPingConfig cfg = {},
                             std::int64_t at_sample = -1);
-  ScenarioBuilder& WifiBroadcast(traffic::WifiBroadcastConfig cfg = {},
-                                 std::int64_t at_sample = -1);
-  ScenarioBuilder& Beacons(traffic::BeaconConfig cfg = {},
-                           std::int64_t at_sample = -1);
-  ScenarioBuilder& L2Ping(traffic::L2PingConfig cfg = {},
-                          std::int64_t at_sample = -1);
-  ScenarioBuilder& Zigbee(traffic::ZigbeeConfig cfg = {},
-                          std::int64_t at_sample = -1);
   ScenarioBuilder& Microwave(traffic::MicrowaveConfig cfg,
                              std::int64_t at_sample,
                              std::int64_t duration_samples);
@@ -113,7 +101,6 @@ class ScenarioBuilder {
 
   std::uint64_t seed_;
   std::string name_;
-  emu::Ether::Config ether_config_;
   double snr_offset_db_ = 0.0;
   std::int64_t tail_padding_ = 16'000;
   bool impair_ = false;

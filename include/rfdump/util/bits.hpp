@@ -30,8 +30,4 @@ using BitVec = std::vector<std::uint8_t>;
 /// Append `src` to `dst`.
 void AppendBits(BitVec& dst, std::span<const std::uint8_t> src);
 
-/// Hamming distance between two equal-length bit spans.
-[[nodiscard]] std::size_t HammingDistance(std::span<const std::uint8_t> a,
-                                          std::span<const std::uint8_t> b);
-
 }  // namespace rfdump::util

@@ -39,9 +39,8 @@ std::vector<std::uint8_t> WifiSeedInput(std::size_t i, util::Xoshiro256& rng) {
       h.length_us = phy80211::PlcpHeader::DurationUsFor(h.rate, bytes);
       h.service = phy80211::PlcpHeader::ServiceFor(h.rate, bytes);
       const auto bits = phy80211::BuildPlcpBits(h);
-      std::vector<std::uint8_t> data{0};  // mode: bit parse
-      data.insert(data.end(), bits.end() - 48, bits.end());
-      return data;
+      // Mode 0: bit parse.
+      return FuzzInput({0}, std::span<const std::uint8_t>(bits).last(48));
     }
     case 1: {  // corrupted header bits
       phy80211::PlcpHeader h;
@@ -49,8 +48,7 @@ std::vector<std::uint8_t> WifiSeedInput(std::size_t i, util::Xoshiro256& rng) {
       h.length_us = phy80211::PlcpHeader::DurationUsFor(
           h.rate, 1 + rng.UniformInt(0, 64));
       const auto bits = phy80211::BuildPlcpBits(h);
-      std::vector<std::uint8_t> data{0};
-      data.insert(data.end(), bits.end() - 48, bits.end());
+      auto data = FuzzInput({0}, std::span<const std::uint8_t>(bits).last(48));
       FuzzMutateInput(data, rng);
       return data;
     }
@@ -179,11 +177,16 @@ ProtocolBundle MakeWifiBundle() {
     info += phy80211::RateName(static_cast<phy80211::Rate>(e.header & 0xFF));
     if (e.crc_ok) {
       if (const auto mac = mac80211::ParseFrame(e.payload)) {
-        info += std::string(" ") + mac80211::FrameKindName(mac->kind);
+        info += ' ';
+        info += mac80211::FrameKindName(mac->kind);
         if (mac->kind == mac80211::FrameKind::kData) {
-          info += " " + mac80211::ToString(mac->addr2) + " > " +
-                  mac80211::ToString(mac->addr1) + " (" +
-                  std::to_string(e.payload.size()) + " B)";
+          info += ' ';
+          info += mac80211::ToString(mac->addr2);
+          info += " > ";
+          info += mac80211::ToString(mac->addr1);
+          info += " (";
+          info += std::to_string(e.payload.size());
+          info += " B)";
         }
       } else {
         info += " undecodable MAC frame";

@@ -36,14 +36,9 @@ std::vector<std::uint8_t> BleSeedInput(std::size_t i, util::Xoshiro256& rng) {
           channel, phyble::AdvPduType::kAdvNonconnInd, payload);
       // Bit-parse mode sees the post-access-address section; the upper mode
       // nibble selects the dewhitening channel.
-      std::vector<std::uint8_t> data{
-          static_cast<std::uint8_t>(((i % 3) << 4) | 0)};
-      data.insert(data.end(),
-                  bits.begin() + static_cast<std::ptrdiff_t>(
-                                     phyble::kPreambleBits +
-                                     phyble::kAccessBits),
-                  bits.end());
-      return data;
+      return FuzzInput({static_cast<std::uint8_t>(((i % 3) << 4) | 0)},
+                       std::span<const std::uint8_t>(bits).subspan(
+                           phyble::kPreambleBits + phyble::kAccessBits));
     }
     case 1: {  // mutated PDU bits
       std::vector<std::uint8_t> payload(1 + rng.UniformInt(0, 20));
@@ -52,13 +47,9 @@ std::vector<std::uint8_t> BleSeedInput(std::size_t i, util::Xoshiro256& rng) {
       }
       const auto bits = phyble::BuildAdvBits(
           channel, phyble::AdvPduType::kAdvInd, payload);
-      std::vector<std::uint8_t> data{
-          static_cast<std::uint8_t>(((i % 3) << 4) | 0)};
-      data.insert(data.end(),
-                  bits.begin() + static_cast<std::ptrdiff_t>(
-                                     phyble::kPreambleBits +
-                                     phyble::kAccessBits),
-                  bits.end());
+      auto data = FuzzInput({static_cast<std::uint8_t>(((i % 3) << 4) | 0)},
+                            std::span<const std::uint8_t>(bits).subspan(
+                                phyble::kPreambleBits + phyble::kAccessBits));
       FuzzMutateInput(data, rng);
       return data;
     }

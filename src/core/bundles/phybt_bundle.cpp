@@ -38,16 +38,15 @@ std::vector<std::uint8_t> BtSeedInput(std::size_t i, util::Xoshiro256& rng) {
       }
       const auto bits = phybt::BuildPacketBits(
           addr, h, payload, static_cast<std::uint8_t>(rng.UniformInt(0, 63)));
-      std::vector<std::uint8_t> data{1};  // mode: ParsePacketBits
-      data.insert(data.end(), bits.begin() + 68, bits.end());
-      return data;
+      // Mode 1: ParsePacketBits.
+      return FuzzInput({1}, std::span<const std::uint8_t>(bits).subspan(68));
     }
     case 1: {  // mutated packet bits
       phybt::DeviceAddress addr{0x9E8B33, 0x47};
       phybt::PacketHeader h;
       const auto bits = phybt::BuildPacketBits(addr, h, {}, 0);
-      std::vector<std::uint8_t> data{1};
-      data.insert(data.end(), bits.begin() + 68, bits.end());
+      auto data =
+          FuzzInput({1}, std::span<const std::uint8_t>(bits).subspan(68));
       FuzzMutateInput(data, rng);
       return data;
     }

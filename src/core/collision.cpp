@@ -6,16 +6,26 @@
 #include "rfdump/dsp/energy.hpp"
 
 namespace rfdump::core {
+namespace {
 
-CollisionDetector::CollisionDetector() : CollisionDetector(Config{}) {}
+/// Power-profile averaging window (samples).
+constexpr std::size_t kWindow = 64;
+/// Minimum sustained power step, as a linear ratio. 1.8 catches the common
+/// equal-power collision (step = 2.0) with margin for noise.
+constexpr double kStepRatio = 1.8;
+/// A step must persist for this many samples to count (rejects fades and
+/// sub-window blips, which block quantization can smear across two windows).
+constexpr std::size_t kPersistence = 256;
+/// Segments shorter than this are merged into their neighbour.
+constexpr std::size_t kMinSegment = 256;
 
-CollisionDetector::CollisionDetector(Config config) : config_(config) {}
+}  // namespace
 
 CollisionInfo CollisionDetector::Analyze(const Peak& peak,
                                          dsp::const_sample_span samples) const {
   CollisionInfo info;
-  const std::size_t w = config_.window;
-  if (samples.size() < 2 * w + config_.persistence) {
+  const std::size_t w = kWindow;
+  if (samples.size() < 2 * w + kPersistence) {
     info.segments.push_back(peak);
     return info;
   }
@@ -31,7 +41,7 @@ CollisionInfo CollisionDetector::Analyze(const Peak& peak,
   // after each candidate boundary (persistence/window blocks each side).
   // Medians reject short blips that would drag a mean across the threshold.
   const std::size_t persist_blocks =
-      std::max<std::size_t>(config_.persistence / w, 2);
+      std::max<std::size_t>(kPersistence / w, 2);
   const auto median_of = [&](std::size_t first, std::size_t count) {
     std::vector<double> v(profile.begin() + static_cast<std::ptrdiff_t>(first),
                           profile.begin() +
@@ -54,8 +64,7 @@ CollisionInfo CollisionDetector::Analyze(const Peak& peak,
     const double tail_ratio = (after > before)
                                   ? tail / std::max(before, 1e-30)
                                   : before / std::max(tail, 1e-30);
-    if (ratio >= config_.step_ratio &&
-        tail_ratio >= 0.75 * config_.step_ratio) {
+    if (ratio >= kStepRatio && tail_ratio >= 0.75 * kStepRatio) {
       // Debounce: one boundary per persistence span.
       if (step_blocks.empty() || b - last_step >= persist_blocks) {
         step_blocks.push_back(b);
@@ -81,7 +90,7 @@ CollisionInfo CollisionDetector::Analyze(const Peak& peak,
   cuts.push_back(peak.end_sample);
   for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
     if (cuts[i + 1] - cuts[i] <
-        static_cast<std::int64_t>(config_.min_segment)) {
+        static_cast<std::int64_t>(kMinSegment)) {
       continue;  // too short to classify on its own
     }
     Peak seg;

@@ -5,24 +5,32 @@
 #include "rfdump/dsp/windows.hpp"
 
 namespace rfdump::core {
+namespace {
+
+constexpr std::size_t kFftSize = 256;
+constexpr std::size_t kBins = 8;            // 1 MHz each across the 8 MHz band
+constexpr float kDominance = 0.55f;         // energy fraction in the top bin
+constexpr double kMinPowerOverFloor = 2.5;  // linear chunk power over floor
+
+}  // namespace
 
 BluetoothFreqDetector::BluetoothFreqDetector()
     : BluetoothFreqDetector(Config{}) {}
 
 BluetoothFreqDetector::BluetoothFreqDetector(Config config)
     : config_(config),
-      plan_(config.fft_size),
-      window_(dsp::MakeWindow(dsp::WindowType::kHann, config.fft_size)) {}
+      plan_(kFftSize),
+      window_(dsp::MakeWindow(dsp::WindowType::kHann, kFftSize)) {}
 
 std::vector<Detection> BluetoothFreqDetector::PushChunk(
     dsp::const_sample_span chunk, std::int64_t start_sample) {
   std::vector<Detection> out;
   const auto spectrum = plan_.PowerSpectrum(chunk, window_);
-  // Fold FFT bins into `bins` channel bins. FFT order: bin k is frequency
+  // Fold FFT bins into kBins channel bins. FFT order: bin k is frequency
   // k * Fs / N for k < N/2, negative frequencies above. Channel bin b covers
   // [-4 MHz + b MHz, -4 MHz + (b+1) MHz).
-  std::vector<double> channel_energy(config_.bins, 0.0);
-  const std::size_t n = config_.fft_size;
+  std::vector<double> channel_energy(kBins, 0.0);
+  const std::size_t n = kFftSize;
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     // Signed frequency as a fraction of Fs in [-0.5, 0.5).
@@ -30,9 +38,8 @@ std::vector<Detection> BluetoothFreqDetector::PushChunk(
         (k < n / 2) ? static_cast<double>(k) / static_cast<double>(n)
                     : static_cast<double>(k) / static_cast<double>(n) - 1.0;
     auto b = static_cast<std::int64_t>(
-        (f + 0.5) * static_cast<double>(config_.bins));
-    b = std::clamp<std::int64_t>(b, 0,
-                                 static_cast<std::int64_t>(config_.bins) - 1);
+        (f + 0.5) * static_cast<double>(kBins));
+    b = std::clamp<std::int64_t>(b, 0, static_cast<std::int64_t>(kBins) - 1);
     channel_energy[static_cast<std::size_t>(b)] += spectrum[k];
     total += spectrum[k];
   }
@@ -45,9 +52,9 @@ std::vector<Detection> BluetoothFreqDetector::PushChunk(
   // windowed mean-square amplitude well enough for gating.)
   const bool active =
       mean_power >
-          config_.min_power_over_floor * config_.noise_floor_power /
-              static_cast<double>(config_.bins) &&
-      *top > config_.dominance * total;
+          kMinPowerOverFloor * config_.noise_floor_power /
+              static_cast<double>(kBins) &&
+      *top > kDominance * total;
 
   const std::int64_t chunk_end =
       start_sample + static_cast<std::int64_t>(chunk.size());

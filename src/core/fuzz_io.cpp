@@ -4,6 +4,15 @@
 
 namespace rfdump::core {
 
+std::vector<std::uint8_t> FuzzInput(std::initializer_list<std::uint8_t> header,
+                                    std::span<const std::uint8_t> body) {
+  std::vector<std::uint8_t> data;
+  data.reserve(header.size() + body.size());
+  data.insert(data.end(), header.begin(), header.end());
+  data.insert(data.end(), body.begin(), body.end());
+  return data;
+}
+
 std::vector<std::uint8_t> FuzzBytesToBits(std::span<const std::uint8_t> data) {
   std::vector<std::uint8_t> bits(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) bits[i] = data[i] & 1u;

@@ -26,6 +26,10 @@ struct ChunkMetrics {
   }
 };
 
+/// Peaks separated by less than this many samples are merged (prevents noise
+/// from splitting one packet into several peaks).
+constexpr std::size_t kMergeGapSamples = 8;
+
 }  // namespace
 
 PeakDetector::PeakDetector() : PeakDetector(Config{}) {}
@@ -86,12 +90,11 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
 
 void PeakDetector::ProcessSamples(std::span<const float> power,
                                   std::int64_t start) {
+  // The start edge is refined against the energy gate itself: at the 4 dB
+  // gate, noise samples exceed half the gate ~28% of the time, which would
+  // pull starts spuriously early; the full gate keeps that to ~8% while
+  // still catching the true rise.
   const double gate = GatePower();
-  // Start-edge refinement threshold: at the 4 dB gate, noise samples exceed
-  // half the gate ~28% of the time, which would pull starts spuriously early;
-  // the full gate keeps that to ~8% while still catching the true rise.
-  const double instant_gate =
-      gate * std::max(config_.instant_factor, 1.0);
   for (std::size_t i = 0; i < power.size(); ++i) {
     const std::int64_t n = start + static_cast<std::int64_t>(i);
     const float p = power[i];
@@ -109,7 +112,7 @@ void PeakDetector::ProcessSamples(std::span<const float> power,
             std::max<std::int64_t>(refined, start);
         for (std::int64_t m = window_start; m <= n; ++m) {
           const float ip = power[static_cast<std::size_t>(m - start)];
-          if (ip > instant_gate) {
+          if (ip > gate) {
             refined = m;
             break;
           }
@@ -134,7 +137,7 @@ void PeakDetector::ProcessSamples(std::span<const float> power,
         // End the peak once the average has stayed below the gate for a
         // merge-gap's worth of samples.
         if (n - below_since_ >=
-            static_cast<std::int64_t>(config_.merge_gap_samples)) {
+            static_cast<std::int64_t>(kMergeGapSamples)) {
           ClosePeak(below_since_);
         }
       } else {

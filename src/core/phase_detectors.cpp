@@ -40,6 +40,22 @@ float Magnitude(dsp::cfloat z) {
   return static_cast<float>(std::sqrt(re2 + im2));
 }
 
+// GFSK detector: the continuous-phase signature over a 4-sample boxcar
+// (against full-band noise) of at most 1024 samples, for bursts no longer
+// than the DH5 bound the Bluetooth timing detector uses.
+constexpr float kGfskMinFracSmallD2 = 0.75f;  // continuous-phase fraction
+constexpr float kGfskMaxMeanAbsD2 = 0.22f;    // radians
+constexpr std::size_t kGfskMaxSamples = 1024;
+constexpr std::size_t kGfskSmooth = 4;
+constexpr double kGfskMaxBurstUs = 3000.0;
+
+// DBPSK detector: normalized pattern-correlation threshold, the 16-symbol
+// (16 us) prefix-scan window, and the scan cap: a burst that still matches
+// after 512 symbols is tagged whole without examining the rest.
+constexpr float kDbpskThreshold = 0.45f;
+constexpr std::size_t kDbpskWindowSymbols = 16;
+constexpr std::size_t kDbpskMaxScanSymbols = 512;
+
 }  // namespace
 
 PhaseInfo ComputePhaseInfo(dsp::const_sample_span x, std::size_t max_samples,
@@ -90,10 +106,6 @@ PhaseInfo ComputePhaseInfo(dsp::const_sample_span x, std::size_t max_samples,
 
 // --------------------------------------------------------------------- GFSK
 
-GfskPhaseDetector::GfskPhaseDetector() : GfskPhaseDetector(Config{}) {}
-
-GfskPhaseDetector::GfskPhaseDetector(Config config) : config_(config) {}
-
 std::optional<Detection> GfskPhaseDetector::OnPeak(
     const Peak& peak, dsp::const_sample_span samples) {
   static obs::Counter& c_examined = obs::LabeledCounter(
@@ -101,14 +113,14 @@ std::optional<Detection> GfskPhaseDetector::OnPeak(
   static obs::Counter& c_tags =
       obs::LabeledCounter("rfdump_detect_tags_total", "detector", "gfsk-phase");
   c_examined.Inc();
-  if (dsp::SamplesToMicros(peak.length()) > config_.max_burst_us) {
+  if (dsp::SamplesToMicros(peak.length()) > kGfskMaxBurstUs) {
     return std::nullopt;
   }
   const PhaseInfo info =
-      ComputePhaseInfo(samples, config_.max_samples, config_.smooth);
+      ComputePhaseInfo(samples, kGfskMaxSamples, kGfskSmooth);
   if (info.samples_used < 64) return std::nullopt;
-  if (info.frac_small_d2 < config_.min_frac_small_d2 ||
-      info.mean_abs_d2 > config_.max_mean_abs_d2) {
+  if (info.frac_small_d2 < kGfskMinFracSmallD2 ||
+      info.mean_abs_d2 > kGfskMaxMeanAbsD2) {
     return std::nullopt;
   }
   // First derivative -> frequency offset -> visible channel index.
@@ -189,7 +201,7 @@ float DbpskPhaseDetector::WindowScore(dsp::const_sample_span window) {
 std::size_t DbpskPhaseDetector::ExtendMatch(dsp::const_sample_span samples,
                                             std::size_t matched_end,
                                             std::size_t limit) const {
-  const std::size_t win = config_.window_symbols * 8;
+  const std::size_t win = kDbpskWindowSymbols * 8;
   const std::size_t stride =
       win * std::max<std::size_t>(config_.scan_stride_windows, 1);
   while (matched_end < limit) {
@@ -197,7 +209,7 @@ std::size_t DbpskPhaseDetector::ExtendMatch(dsp::const_sample_span samples,
         std::min(matched_end + stride - win, samples.size());
     const std::size_t len = std::min(win, samples.size() - probe);
     if (len < 2 * 8) return samples.size();
-    if (WindowScore(samples.subspan(probe, len)) < config_.threshold) break;
+    if (WindowScore(samples.subspan(probe, len)) < kDbpskThreshold) break;
     matched_end = probe + len;
   }
   return matched_end;
@@ -210,19 +222,19 @@ std::optional<Detection> DbpskPhaseDetector::OnPeak(
   static obs::Counter& c_tags = obs::LabeledCounter(
       "rfdump_detect_tags_total", "detector", "dbpsk-phase");
   c_examined.Inc();
-  const std::size_t win = config_.window_symbols * 8;
+  const std::size_t win = kDbpskWindowSymbols * 8;
   if (samples.size() < 3 * 8) {
     last_score_ = 0.0f;
     return std::nullopt;
   }
   // First window decides whether this burst is Barker-chipped at all.
   last_score_ = WindowScore(samples.first(std::min(win, samples.size())));
-  if (last_score_ < config_.threshold) return std::nullopt;
+  if (last_score_ < kDbpskThreshold) return std::nullopt;
   // Prefix scan: extend while successive windows keep matching. A burst that
-  // still matches after max_scan_symbols is Barker end-to-end (1/2 Mbps) and
-  // is tagged whole without examining the remainder.
+  // still matches at the scan cap is Barker end-to-end (1/2 Mbps) and is
+  // tagged whole without examining the remainder.
   const std::size_t cap =
-      std::min(samples.size(), config_.max_scan_symbols * 8);
+      std::min(samples.size(), kDbpskMaxScanSymbols * 8);
   const std::size_t matched_end =
       ExtendMatch(samples, std::min(win, samples.size()), cap);
   const std::int64_t end =
@@ -238,11 +250,11 @@ bool DbpskPhaseDetector::MatchesWholePeak(
     dsp::const_sample_span samples) const {
   // The capped scan ends at the first window boundary win + k * stride at or
   // past the cap; a peak no longer than that was scanned whole already.
-  const std::size_t win = config_.window_symbols * 8;
+  const std::size_t win = kDbpskWindowSymbols * 8;
   const std::size_t stride =
       win * std::max<std::size_t>(config_.scan_stride_windows, 1);
   const std::size_t cap =
-      std::min(samples.size(), config_.max_scan_symbols * 8);
+      std::min(samples.size(), kDbpskMaxScanSymbols * 8);
   std::size_t resume = win;
   if (cap > win) resume += (cap - win + stride - 1) / stride * stride;
   return ExtendMatch(samples, resume, samples.size()) >= samples.size();

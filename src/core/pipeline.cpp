@@ -43,6 +43,9 @@ std::int64_t UsToSamples(double us) {
   return static_cast<std::int64_t>(us * 1e-6 * dsp::kSampleRateHz + 0.5);
 }
 
+/// Padding around every dispatched interval, in both architectures.
+constexpr double kDispatchPadUs = 40.0;
+
 /// One registry counter per Key value (a dense enum) under a common family
 /// name and label, resolved once (construct as a function-local static) so
 /// each update is a single relaxed atomic increment.
@@ -426,7 +429,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // Stage 0: input health scan — a real front-end delivers saturated and
   // occasionally corrupt (non-finite) samples; account for them up front so
   // downstream results can be interpreted.
-  if (config_.health_scan) {
+  {
     StageScope scope(costs, Stage::kHealth, x.size());
     HealthReport h;
     h.block_samples = x.size();
@@ -591,7 +594,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
                                         "protocol", ProtocolName);
   c_detections.Inc(detections.size());
   std::uint64_t tagged_n = 0, rejected_n = 0, vetoed_n = 0;
-  const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
+  const std::int64_t pad = UsToSamples(kDispatchPadUs);
   DispatchVeto veto(detections, hook_of, active, x, sup, costs);
   std::vector<Detection> padded;
   padded.reserve(detections.size());
@@ -618,12 +621,11 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   report.dispatched = MergeDetections(std::move(padded), pad,
                                       static_cast<std::int64_t>(x.size()));
   for (const auto& d : report.dispatched) c_forwarded.of(d.protocol).Inc();
-  if (!report.health.empty()) {
-    report.health.back().tagged_detections = tagged_n;
-    report.health.back().rejected_detections = rejected_n;
-    report.health.back().vetoed_detections = vetoed_n;
-    report.health.back().forwarded_intervals = report.dispatched.size();
-  }
+  HealthReport& health = report.health.back();
+  health.tagged_detections = tagged_n;
+  health.rejected_detections = rejected_n;
+  health.vetoed_detections = vetoed_n;
+  health.forwarded_intervals = report.dispatched.size();
   DetectOutput out;
   out.report = std::move(report);
   out.analysis = config_.analysis;
@@ -670,24 +672,33 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
       plane.resize(x.size());
       dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
     }
+    // Peaks are collected as they complete: the detector's history is a
+    // bounded ring, so reading it only after the last chunk would drop
+    // every peak but the newest history_capacity.
+    const std::int64_t pad = UsToSamples(kDispatchPadUs);
+    std::vector<Detection> raw;
+    std::uint64_t peak_cursor = 0;
+    const auto collect = [&] {
+      for (const Peak& p : peaks.CompletedSince(peak_cursor)) {
+        for (const Protocol protocol : members) {
+          raw.push_back({protocol, p.start_sample - pad, p.end_sample + pad,
+                         1.0f, "energy"});
+        }
+      }
+      peak_cursor = peaks.CompletedCount();
+    };
     for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
       const std::size_t n = std::min(kChunkSamples, x.size() - at);
       StageScope scope(report.costs, Stage::kEnergy, n);
       peaks.PushChunk(x.subspan(at, n),
                       std::span<const float>(plane).subspan(at, n),
                       static_cast<std::int64_t>(at));
+      collect();
     }
     {
       StageScope scope(report.costs, Stage::kEnergy, 0);
       peaks.Flush();
-    }
-    const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
-    std::vector<Detection> raw;
-    for (const Peak& p : peaks.history()) {
-      for (const Protocol protocol : members) {
-        raw.push_back({protocol, p.start_sample - pad, p.end_sample + pad,
-                       1.0f, "energy"});
-      }
+      collect();
     }
     intervals = MergeDetections(std::move(raw), pad,
                                 static_cast<std::int64_t>(x.size()));

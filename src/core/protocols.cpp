@@ -41,12 +41,4 @@ std::span<const ProtocolFeatures> FeatureTable() {
   return kTable;
 }
 
-std::vector<ProtocolFeatures> FeaturesFor(Protocol p) {
-  std::vector<ProtocolFeatures> out;
-  for (const auto& row : FeatureTable()) {
-    if (row.protocol == p) out.push_back(row);
-  }
-  return out;
-}
-
 }  // namespace rfdump::core

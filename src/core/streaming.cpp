@@ -53,6 +53,12 @@ struct StreamingMetrics {
   }
 };
 
+/// A shed stage is restored only after shed_resume_blocks consecutive blocks
+/// below this fraction of the CPU budget (hysteresis).
+constexpr double kShedResumeFraction = 0.75;
+/// Dispatch-confidence floor applied at shed stage >= 2.
+constexpr float kShedMinConfidence = 0.7f;
+
 }  // namespace
 
 double HealthSummary::MeanLoad() const {
@@ -284,7 +290,7 @@ void StreamingMonitor::ApplyShedStage() {
   }
   if (stage >= 2) {
     cfg.analysis.min_dispatch_confidence = std::max(
-        cfg.analysis.min_dispatch_confidence, config_.shed_min_confidence);
+        cfg.analysis.min_dispatch_confidence, kShedMinConfidence);
   }
   if (stage >= 3) {
     cfg.analysis.demodulate = false;
@@ -316,7 +322,7 @@ void StreamingMonitor::UpdateShedding(double block_load,
     under_budget_blocks_ = 0;
   } else if (shed_stage_.load(std::memory_order_relaxed) > 0 &&
              block_load <
-                 config_.shed_resume_fraction * config_.cpu_budget) {
+                 kShedResumeFraction * config_.cpu_budget) {
     if (++under_budget_blocks_ >= config_.shed_resume_blocks) {
       const int stage = shed_stage_.fetch_sub(1, std::memory_order_relaxed) - 1;
       under_budget_blocks_ = 0;

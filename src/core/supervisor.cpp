@@ -65,15 +65,6 @@ const char* OutcomeName(Outcome o) {
   return "?";
 }
 
-const char* BreakerStateName(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 Supervisor::Supervisor() : Supervisor(Config{}) {}
 
 Supervisor::Supervisor(Config config)

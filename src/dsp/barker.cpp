@@ -45,12 +45,4 @@ void CorrelateChipsNormalized(const_sample_span x, std::span<const int> chips,
   }
 }
 
-std::vector<float> NormalizedCorrelateChips(const_sample_span x,
-                                            std::span<const int> chips) {
-  SampleVec corr;
-  std::vector<float> norm;
-  CorrelateChipsNormalized(x, chips, corr, norm);
-  return norm;
-}
-
 }  // namespace rfdump::dsp

@@ -8,11 +8,8 @@ namespace rfdump::dsp {
 
 double MeanPower(const_sample_span x) {
   if (x.empty()) return 0.0;
-  return TotalEnergy(x) / static_cast<double>(x.size());
-}
-
-double TotalEnergy(const_sample_span x) {
-  return simd::Active().sum_finite_power(x.data(), x.size());
+  return simd::Active().sum_finite_power(x.data(), x.size()) /
+         static_cast<double>(x.size());
 }
 
 MovingAveragePower::MovingAveragePower(std::size_t window) : window_(window) {

@@ -7,12 +7,6 @@
 
 namespace rfdump::dsp {
 
-std::size_t NextPowerOfTwo(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 FftPlan::FftPlan(std::size_t size) : size_(size) {
   if (!IsPowerOfTwo(size) || size < 2) {
     throw std::invalid_argument("FftPlan size must be a power of two >= 2");
@@ -66,14 +60,6 @@ void FftPlan::Transform(sample_span data, bool inverse) const {
 
 void FftPlan::Forward(sample_span data) const { Transform(data, false); }
 void FftPlan::Inverse(sample_span data) const { Transform(data, true); }
-
-SampleVec FftPlan::ForwardCopy(const_sample_span input) const {
-  SampleVec buf(size_, cfloat{0.0f, 0.0f});
-  const std::size_t n = std::min(input.size(), size_);
-  std::copy_n(input.begin(), n, buf.begin());
-  Forward(buf);
-  return buf;
-}
 
 std::vector<float> FftPlan::PowerSpectrum(const_sample_span input,
                                           std::span<const float> window) const {

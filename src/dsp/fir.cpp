@@ -14,10 +14,6 @@ FirFilter::FirFilter(std::vector<float> taps) : taps_(std::move(taps)) {
   history_.assign(taps_.size() - 1, cfloat{0.0f, 0.0f});
 }
 
-void FirFilter::Reset() {
-  std::fill(history_.begin(), history_.end(), cfloat{0.0f, 0.0f});
-}
-
 void FirFilter::Process(const_sample_span input, SampleVec& out) {
   const std::size_t nt = taps_.size();
   const std::size_t hist = nt - 1;
@@ -44,12 +40,6 @@ void FirFilter::Process(const_sample_span input, SampleVec& out) {
       std::copy(input.begin(), input.end(), history_.end() - input.size());
     }
   }
-}
-
-SampleVec FirFilter::Filtered(const_sample_span input) {
-  SampleVec out;
-  Process(input, out);
-  return out;
 }
 
 std::vector<float> DesignLowPass(double cutoff_hz, double sample_rate,
@@ -91,38 +81,6 @@ std::vector<float> DesignGaussian(double bt, std::size_t sps,
     sum += v;
   }
   for (auto& t : taps) t = static_cast<float>(t / sum);
-  return taps;
-}
-
-std::vector<float> DesignRootRaisedCosine(double beta, std::size_t sps,
-                                          std::size_t span_symbols) {
-  const std::size_t n = sps * span_symbols + 1;
-  std::vector<float> taps(n);
-  const double mid = (static_cast<double>(n) - 1.0) / 2.0;
-  const double pi = std::numbers::pi;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = (static_cast<double>(i) - mid) / static_cast<double>(sps);
-    double v;
-    if (std::abs(t) < 1e-9) {
-      v = 1.0 + beta * (4.0 / pi - 1.0);
-    } else if (beta > 0.0 &&
-               std::abs(std::abs(t) - 1.0 / (4.0 * beta)) < 1e-9) {
-      v = beta / std::sqrt(2.0) *
-          ((1.0 + 2.0 / pi) * std::sin(pi / (4.0 * beta)) +
-           (1.0 - 2.0 / pi) * std::cos(pi / (4.0 * beta)));
-    } else {
-      const double num = std::sin(pi * t * (1.0 - beta)) +
-                         4.0 * beta * t * std::cos(pi * t * (1.0 + beta));
-      const double den = pi * t * (1.0 - std::pow(4.0 * beta * t, 2.0));
-      v = num / den;
-    }
-    taps[i] = static_cast<float>(v);
-  }
-  // Normalize to unit energy.
-  double energy = 0.0;
-  for (float t : taps) energy += static_cast<double>(t) * t;
-  const double scale = 1.0 / std::sqrt(energy);
-  for (auto& t : taps) t = static_cast<float>(t * scale);
   return taps;
 }
 

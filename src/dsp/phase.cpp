@@ -6,12 +6,6 @@
 
 namespace rfdump::dsp {
 
-std::vector<float> InstantPhase(const_sample_span x) {
-  std::vector<float> out(x.size());
-  simd::Active().instant_phase(x.data(), x.size(), out.data());
-  return out;
-}
-
 std::vector<float> PhaseDiff(const_sample_span x) {
   if (x.size() < 2) return {};
   std::vector<float> out(x.size() - 1);
@@ -19,34 +13,10 @@ std::vector<float> PhaseDiff(const_sample_span x) {
   return out;
 }
 
-std::vector<float> PhaseSecondDiff(const_sample_span x) {
-  const auto d1 = PhaseDiff(x);
-  if (d1.size() < 2) return {};
-  std::vector<float> out(d1.size() - 1);
-  for (std::size_t i = 1; i < d1.size(); ++i) {
-    out[i - 1] = WrapPhase(d1[i] - d1[i - 1]);
-  }
-  return out;
-}
-
 float WrapPhase(float angle) {
   while (angle > kPi) angle -= kTwoPi;
   while (angle <= -kPi) angle += kTwoPi;
   return angle;
-}
-
-void UnwrapInPlace(std::vector<float>& phase) {
-  for (std::size_t i = 1; i < phase.size(); ++i) {
-    float d = phase[i] - phase[i - 1];
-    while (d > kPi) {
-      phase[i] -= kTwoPi;
-      d -= kTwoPi;
-    }
-    while (d < -kPi) {
-      phase[i] += kTwoPi;
-      d += kTwoPi;
-    }
-  }
 }
 
 std::vector<std::size_t> PhaseHistogram(std::span<const float> phases,

@@ -18,18 +18,6 @@ std::int64_t NextArrival(util::Xoshiro256& rng, double rate_per_sec) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kNonFinite: return "nonfinite";
-    case FaultKind::kSaturation: return "saturation";
-    case FaultKind::kDcOffset: return "dc-offset";
-    case FaultKind::kCfoDrift: return "cfo-drift";
-  }
-  return "?";
-}
-
 FrontEnd::FrontEnd(dsp::const_sample_span stream, Config config,
                    std::uint64_t seed)
     : config_(config), rng_(seed), stream_(stream.begin(), stream.end()) {

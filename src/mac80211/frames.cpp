@@ -102,6 +102,8 @@ std::vector<std::uint8_t> BuildBeaconFrame(const MacAddress& src,
                                            const std::string& ssid,
                                            std::uint64_t timestamp_us) {
   std::vector<std::uint8_t> out;
+  // 24-byte header, 12-byte fixed body, SSID element, FCS.
+  out.reserve(24 + 12 + 2 + ssid.size() + 4);
   // Frame control: type 0 (mgmt), subtype 8 (beacon).
   out.push_back(0x80);
   out.push_back(0x00);
@@ -126,11 +128,10 @@ std::vector<std::uint8_t> BuildBeaconFrame(const MacAddress& src,
 std::vector<std::uint8_t> BuildIcmpEchoBody(bool is_reply, std::uint16_t ident,
                                             std::uint16_t icmp_seq,
                                             std::size_t payload_bytes) {
-  std::vector<std::uint8_t> body;
-  body.reserve(IcmpEchoBodyBytes(payload_bytes));
   // LLC/SNAP header for IPv4.
-  const std::uint8_t llc[8] = {0xAA, 0xAA, 0x03, 0x00, 0x00, 0x00, 0x08, 0x00};
-  body.insert(body.end(), llc, llc + 8);
+  std::vector<std::uint8_t> body = {0xAA, 0xAA, 0x03, 0x00,
+                                    0x00, 0x00, 0x08, 0x00};
+  body.reserve(IcmpEchoBodyBytes(payload_bytes));
   // IPv4 header (20 bytes, no options).
   const std::uint16_t ip_len =
       static_cast<std::uint16_t>(20 + 8 + payload_bytes);

@@ -115,11 +115,6 @@ Fleet::Fleet(Config config)
   }
 }
 
-std::int64_t Fleet::LocalTime(std::size_t i) const {
-  return now_ * config_.samples_per_tick +
-         nodes_[i]->spec.clock_offset_samples;
-}
-
 std::uint32_t Fleet::Publish(std::size_t i, std::int64_t block_start,
                              std::vector<EventRecord> events) {
   EventBatchMsg batch;

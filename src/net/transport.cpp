@@ -2,15 +2,6 @@
 
 namespace rfdump::net {
 
-const char* TransportStateName(Transport::State state) {
-  switch (state) {
-    case Transport::State::kConnecting: return "connecting";
-    case Transport::State::kConnected: return "connected";
-    case Transport::State::kClosed: return "closed";
-  }
-  return "?";
-}
-
 bool LinkTransport::Send(std::span<const std::uint8_t> frame) {
   if (closed_) {
     ++stats_.send_rejects;

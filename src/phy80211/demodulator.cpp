@@ -254,6 +254,12 @@ util::BitVec DecodeCckPayloadRaw(dsp::const_sample_span chips,
   return raw;
 }
 
+/// Minimum normalized Barker correlation to consider a chip window part of a
+/// DSSS transmission.
+constexpr float kCorrelationThreshold = 0.55f;
+/// Symbols of consecutive correlation needed to attempt sync.
+constexpr std::size_t kMinSyncSymbols = 24;
+
 }  // namespace
 
 Demodulator::Demodulator() : Demodulator(Config{}) {}
@@ -301,18 +307,18 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
 
   // 3. Scan for DSSS activity and attempt frame sync at each candidate.
   std::size_t scan = 0;
-  while (scan + config_.min_sync_symbols * 11 < ncorr) {
+  while (scan + kMinSyncSymbols * 11 < ncorr) {
     if (budget && budget->expired()) break;  // abort with partial results
-    if (norm[scan] < config_.correlation_threshold) {
+    if (norm[scan] < kCorrelationThreshold) {
       ++scan;
       continue;
     }
     c_attempts.Inc();
-    if (budget && !budget->Charge(11 * config_.min_sync_symbols)) break;
+    if (budget && !budget->Charge(11 * kMinSyncSymbols)) break;
 
     // 3a. Symbol timing: strongest correlation phase (mod 11) over the next
-    // min_sync_symbols symbols.
-    const std::size_t probe_symbols = config_.min_sync_symbols;
+    // kMinSyncSymbols symbols.
+    const std::size_t probe_symbols = kMinSyncSymbols;
     double phase_score[11] = {};
     for (std::size_t o = 0; o < 11; ++o) {
       for (std::size_t m = 0; m < probe_symbols; ++m) {
@@ -345,7 +351,7 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
       for (std::size_t n = 0; base + 11 * n < ncorr; ++n) {
         if (budget && (n & 255u) == 255u && !budget->Charge(11 * 256)) break;
         const std::size_t idx = base + 11 * n;
-        if (norm[idx] < config_.correlation_threshold * 0.5f) {
+        if (norm[idx] < kCorrelationThreshold * 0.5f) {
           if (++misses > 8) break;
         } else {
           misses = 0;
@@ -358,7 +364,7 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
         --misses;
       }
     }
-    if (symbols.size() < config_.min_sync_symbols) {
+    if (symbols.size() < kMinSyncSymbols) {
       scan = base + 11;
       continue;
     }
@@ -413,7 +419,7 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
       }
     }
     if (sfd_at == bits.size()) {
-      scan = base + 11 * config_.min_sync_symbols;
+      scan = base + 11 * kMinSyncSymbols;
       continue;
     }
 
@@ -566,7 +572,7 @@ std::vector<DecodedFrame> Demodulator::DecodeAll(dsp::const_sample_span x) {
     c_frames.Inc();
     frames.push_back(std::move(frame));
     // Resume scanning after this frame.
-    scan = std::max(end_chip, base + 11 * config_.min_sync_symbols);
+    scan = std::max(end_chip, base + 11 * kMinSyncSymbols);
   }
   return frames;
 }

@@ -65,13 +65,6 @@ dsp::SampleVec GfskModulate(std::span<const std::uint8_t> bits,
   return out;
 }
 
-std::vector<float> FmDiscriminate(dsp::const_sample_span x) {
-  if (x.size() < 2) return {};
-  std::vector<float> out(x.size() - 1);
-  dsp::simd::Active().phase_diff(x.data(), x.size(), out.data());
-  return out;
-}
-
 void FmDiscriminateInto(dsp::const_sample_span x, std::vector<float>& out) {
   if (x.size() < 2) {
     out.clear();

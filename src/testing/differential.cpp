@@ -98,7 +98,10 @@ std::vector<std::string> ExactFingerprint(const core::MonitorReport& r) {
                   static_cast<long long>(e.end_sample), e.crc_ok, e.header,
                   e.payload.size());
     std::string line = buf;
-    for (const auto b : e.payload) line += "," + std::to_string(b);
+    for (const auto b : e.payload) {
+      line += ',';
+      line += std::to_string(b);
+    }
     out.push_back(std::move(line));
   }
   return out;

@@ -244,17 +244,14 @@ std::vector<std::uint8_t> NetFrameSeedInput(std::size_t i,
       }
       net::FrameHeader h;
       h.type = FrameType::kMetrics;
-      const auto frame = net::EncodeFrame(h, m.Encode());
-      std::vector<std::uint8_t> data{0};
-      data.insert(data.end(), frame.begin(), frame.end());
-      return data;
+      return core::FuzzInput({0}, net::EncodeFrame(h, m.Encode()));
     }
     case 3: {  // raw codec payload (mode 2), half of them mutated
       const std::size_t pick = rng.UniformInt(0, 6);
       auto [type, payload] = random_message(pick);
       (void)type;
-      std::vector<std::uint8_t> data{2, static_cast<std::uint8_t>(pick)};
-      data.insert(data.end(), payload.begin(), payload.end());
+      auto data =
+          core::FuzzInput({2, static_cast<std::uint8_t>(pick)}, payload);
       if (rng.UniformInt(0, 1) == 1) core::FuzzMutateInput(data, rng);
       return data;
     }

@@ -25,17 +25,6 @@ constexpr std::int64_t kStaggerSamples = 8'000;
 ScenarioBuilder::ScenarioBuilder(std::uint64_t master_seed, std::string name)
     : seed_(master_seed), name_(std::move(name)) {}
 
-ScenarioBuilder& ScenarioBuilder::NoisePower(double power) {
-  ether_config_.noise_power = power;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::AdcBits(unsigned bits, float full_scale) {
-  ether_config_.adc_bits = bits;
-  ether_config_.adc_full_scale = full_scale;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::SnrOffsetDb(double db) {
   snr_offset_db_ = db;
   return *this;
@@ -63,46 +52,6 @@ ScenarioBuilder& ScenarioBuilder::WifiPing(traffic::WifiPingConfig cfg,
                 auto c = cfg;
                 c.snr_db += off;
                 return traffic::GenerateUnicastPing(e, c, start).end_sample;
-              },
-              at_sample});
-}
-
-ScenarioBuilder& ScenarioBuilder::WifiBroadcast(traffic::WifiBroadcastConfig cfg,
-                                                std::int64_t at_sample) {
-  return Add({[cfg](emu::Ether& e, std::int64_t start, double off) {
-                auto c = cfg;
-                c.snr_db += off;
-                return traffic::GenerateBroadcastFlood(e, c, start).end_sample;
-              },
-              at_sample});
-}
-
-ScenarioBuilder& ScenarioBuilder::Beacons(traffic::BeaconConfig cfg,
-                                          std::int64_t at_sample) {
-  return Add({[cfg](emu::Ether& e, std::int64_t start, double off) {
-                auto c = cfg;
-                c.snr_db += off;
-                return traffic::GenerateBeacons(e, c, start).end_sample;
-              },
-              at_sample});
-}
-
-ScenarioBuilder& ScenarioBuilder::L2Ping(traffic::L2PingConfig cfg,
-                                         std::int64_t at_sample) {
-  return Add({[cfg](emu::Ether& e, std::int64_t start, double off) {
-                auto c = cfg;
-                c.snr_db += off;
-                return traffic::GenerateL2Ping(e, c, start).end_sample;
-              },
-              at_sample});
-}
-
-ScenarioBuilder& ScenarioBuilder::Zigbee(traffic::ZigbeeConfig cfg,
-                                         std::int64_t at_sample) {
-  return Add({[cfg](emu::Ether& e, std::int64_t start, double off) {
-                auto c = cfg;
-                c.snr_db += off;
-                return traffic::GenerateZigbee(e, c, start).end_sample;
               },
               at_sample});
 }
@@ -137,7 +86,7 @@ ScenarioBuilder& ScenarioBuilder::Traffic(
 }
 
 RenderedScenario ScenarioBuilder::Render() const {
-  emu::Ether ether(ether_config_, seed_);
+  emu::Ether ether(emu::Ether::Config{}, seed_);
   std::int64_t latest = 0;
   for (const Op& op : ops_) {
     const std::int64_t start =

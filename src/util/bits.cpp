@@ -45,14 +45,4 @@ void AppendBits(BitVec& dst, std::span<const std::uint8_t> src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-std::size_t HammingDistance(std::span<const std::uint8_t> a,
-                            std::span<const std::uint8_t> b) {
-  assert(a.size() == b.size());
-  std::size_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if ((a[i] & 1u) != (b[i] & 1u)) ++d;
-  }
-  return d;
-}
-
 }  // namespace rfdump::util

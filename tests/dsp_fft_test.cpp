@@ -79,8 +79,9 @@ TEST(Fft, PowerSpectrumMatchesForward) {
   constexpr std::size_t kN = 64;
   dsp::FftPlan plan(kN);
   auto x = Tone(kN, 3.0, 0.5f);
-  const auto copy = plan.ForwardCopy(x);
   const auto ps = plan.PowerSpectrum(x);
+  auto copy = x;
+  plan.Forward(copy);
   ASSERT_EQ(ps.size(), kN);
   for (std::size_t k = 0; k < kN; ++k) {
     EXPECT_NEAR(ps[k], std::norm(copy[k]), 1e-2f) << "bin " << k;
@@ -90,9 +91,10 @@ TEST(Fft, PowerSpectrumMatchesForward) {
 TEST(Fft, ShortInputIsZeroPadded) {
   dsp::FftPlan plan(64);
   dsp::SampleVec x(10, {1.0f, 0.0f});
-  const auto spec = plan.ForwardCopy(x);
-  // DC bin = sum of inputs = 10.
-  EXPECT_NEAR(spec[0].real(), 10.0f, 1e-4f);
+  const auto ps = plan.PowerSpectrum(x);
+  ASSERT_EQ(ps.size(), 64u);
+  // DC bin = |sum of inputs|^2 = 10^2.
+  EXPECT_NEAR(ps[0], 100.0f, 1e-3f);
 }
 
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
@@ -126,7 +128,8 @@ TEST_P(FftRoundTrip, ParsevalHolds) {
   }
   double time_energy = 0.0;
   for (const auto& v : x) time_energy += std::norm(v);
-  const auto spec = plan.ForwardCopy(x);
+  auto spec = x;
+  plan.Forward(spec);
   double freq_energy = 0.0;
   for (const auto& v : spec) freq_energy += std::norm(v);
   freq_energy /= static_cast<double>(n);
@@ -143,21 +146,16 @@ TEST(Fft, LinearityOfTransform) {
   auto b = Tone(kN, 9.0, 0.3f);
   dsp::SampleVec sum(kN);
   for (std::size_t i = 0; i < kN; ++i) sum[i] = a[i] + b[i];
-  const auto fa = plan.ForwardCopy(a);
-  const auto fb = plan.ForwardCopy(b);
-  const auto fsum = plan.ForwardCopy(sum);
+  const auto forward = [&plan](dsp::SampleVec v) {
+    plan.Forward(v);
+    return v;
+  };
+  const auto fa = forward(a);
+  const auto fb = forward(b);
+  const auto fsum = forward(sum);
   for (std::size_t k = 0; k < kN; ++k) {
     EXPECT_NEAR(std::abs(fsum[k] - fa[k] - fb[k]), 0.0f, 2e-2f) << "k=" << k;
   }
-}
-
-TEST(Fft, NextPowerOfTwo) {
-  EXPECT_EQ(dsp::NextPowerOfTwo(0), 1u);
-  EXPECT_EQ(dsp::NextPowerOfTwo(1), 1u);
-  EXPECT_EQ(dsp::NextPowerOfTwo(2), 2u);
-  EXPECT_EQ(dsp::NextPowerOfTwo(200), 256u);
-  EXPECT_EQ(dsp::NextPowerOfTwo(256), 256u);
-  EXPECT_EQ(dsp::NextPowerOfTwo(257), 512u);
 }
 
 }  // namespace

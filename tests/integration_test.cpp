@@ -2,6 +2,7 @@
 // scoring against ground truth. These tests are small versions of the
 // paper's microbenchmarks (Figures 6-8, Table 3) plus trace I/O round trips.
 
+#include <algorithm>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -281,6 +282,33 @@ TEST(Integration, EnergyGatedBetweenNaiveAndRFDump) {
 
   EXPECT_LT(energy_report.costs.Seconds(), naive_report.costs.Seconds());
   EXPECT_GE(EventsOf(energy_report, core::Protocol::kWifi80211b).size(), 6u);
+}
+
+TEST(Integration, EnergyGateDispatchesEveryPeakOfALongCapture) {
+  // 5000 bursts, more than the peak detector's 4096-entry history ring: the
+  // energy gate must dispatch the first bursts too, not only the newest.
+  constexpr std::size_t kBursts = 5000, kGap = 600, kBurst = 300;
+  dsp::SampleVec x(kBursts * (kGap + kBurst), dsp::cfloat{0.0f, 0.0f});
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    const std::size_t at = b * (kGap + kBurst) + kGap;
+    std::fill_n(x.begin() + static_cast<std::ptrdiff_t>(at), kBurst,
+                dsp::cfloat{4.0f, 0.0f});
+  }
+  core::NaivePipeline::Config cfg;
+  cfg.energy_gate = true;
+  cfg.analysis.demodulate = false;
+  const auto report = core::NaivePipeline(cfg).Process(x);
+
+  // Gaps are shorter than two 40 us (320-sample) pads, so every burst merges
+  // into one interval per protocol, starting one pad before the first burst.
+  std::size_t wifi = 0;
+  for (const auto& d : report.dispatched) {
+    if (d.protocol != core::Protocol::kWifi80211b) continue;
+    ++wifi;
+    EXPECT_EQ(d.start_sample, static_cast<std::int64_t>(kGap) - 320);
+    EXPECT_EQ(d.end_sample, static_cast<std::int64_t>(x.size()));
+  }
+  EXPECT_EQ(wifi, 1u);
 }
 
 // ----------------------------------------------------------------- trace IO

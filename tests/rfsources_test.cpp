@@ -46,7 +46,7 @@ TEST(Microwave, OffPhaseIsSilent) {
   const auto period = dsp::kSampleRateHz / 60.0;
   const auto off_start = static_cast<std::int64_t>(period * 0.6);
   const auto burst = oven.Generate(off_start, 1000);
-  EXPECT_EQ(dsp::TotalEnergy(burst), 0.0);
+  EXPECT_EQ(dsp::MeanPower(burst), 0.0);
 }
 
 TEST(Microwave, FrequencySweepsThroughBand) {
@@ -116,7 +116,7 @@ TEST(Impulses, RateAndAmplitude) {
 TEST(Impulses, ZeroRateIsSilent) {
   rfdump::util::Xoshiro256 rng(10);
   const auto x = rfs::GenerateImpulses(10000, 0.0, 40, 3.0f, rng);
-  EXPECT_EQ(dsp::TotalEnergy(x), 0.0);
+  EXPECT_EQ(dsp::MeanPower(x), 0.0);
 }
 
 }  // namespace

@@ -37,13 +37,6 @@ TEST(Bits, PartialByte) {
   EXPECT_EQ(bytes[0], 5);
 }
 
-TEST(Bits, HammingDistance) {
-  BitVec a = {0, 1, 1, 0};
-  BitVec b = {1, 1, 0, 0};
-  EXPECT_EQ(HammingDistance(a, b), 2u);
-  EXPECT_EQ(HammingDistance(a, a), 0u);
-}
-
 TEST(Bits, AppendBits) {
   BitVec dst = {1, 0};
   BitVec src = {1, 1};
