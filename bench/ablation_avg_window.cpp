@@ -10,7 +10,6 @@
 
 namespace {
 namespace core = rfdump::core;
-namespace dsp = rfdump::dsp;
 }  // namespace
 
 int main() {
@@ -35,21 +34,14 @@ int main() {
   for (std::size_t window : {5u, 10u, 20u, 40u, 80u, 160u}) {
     core::PeakDetector::Config pcfg;
     pcfg.averaging_window = window;
-    core::PeakDetector det(pcfg);
-    for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-      det.PushChunk(dsp::const_sample_span(x).subspan(
-                        at, std::min(core::kChunkSamples, x.size() - at)),
-                    static_cast<std::int64_t>(at));
-    }
-    det.Flush();
+    const auto peaks = core::DetectPeaks(x, pcfg);
     core::WifiTimingDetector timing;
-    std::vector<core::Peak> peaks(det.history().begin(), det.history().end());
     const auto detections = timing.OnPeaks(peaks);
     const auto score = core::ScoreDetections(
         ether.truth(), core::Protocol::kWifi80211b, detections, total,
         "80211-sifs-timing");
     std::printf("%7zu%s %8zu %16s\n", window, window == 20 ? "*" : " ",
-                det.history().size(),
+                peaks.size(),
                 bench::FmtRate(score.MissRate()).c_str());
   }
   std::printf("\ntiny windows split packets at low SNR (peak count inflates);"

@@ -12,7 +12,6 @@
 
 namespace {
 namespace core = rfdump::core;
-namespace dsp = rfdump::dsp;
 }  // namespace
 
 int main() {
@@ -39,14 +38,7 @@ int main() {
   const auto total = static_cast<std::int64_t>(x.size());
 
   // Peak detection once, shared by all configurations.
-  core::PeakDetector det;
-  for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-    det.PushChunk(dsp::const_sample_span(x).subspan(
-                      at, std::min(core::kChunkSamples, x.size() - at)),
-                  static_cast<std::int64_t>(at));
-  }
-  det.Flush();
-  std::vector<core::Peak> peaks(det.history().begin(), det.history().end());
+  const auto peaks = core::DetectPeaks(x);
 
   std::printf("%12s %10s %12s %14s %12s %10s\n", "cache size", "hits",
               "history srch", "detector time", "miss rate", "tags");

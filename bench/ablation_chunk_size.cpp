@@ -25,16 +25,21 @@ Result RunWithChunk(std::size_t chunk, dsp::const_sample_span x,
                     const std::vector<rfdump::emu::TruthRecord>& truth) {
   const rfdump::obs::Stopwatch watch;
   core::PeakDetector det;
+  std::vector<core::Peak> peaks;
   for (std::size_t at = 0; at < x.size(); at += chunk) {
-    det.PushChunk(x.subspan(at, std::min(chunk, x.size() - at)),
-                  static_cast<std::int64_t>(at));
+    const auto done =
+        det.PushChunk(x.subspan(at, std::min(chunk, x.size() - at)),
+                      static_cast<std::int64_t>(at))
+            .completed;
+    peaks.insert(peaks.end(), done.begin(), done.end());
   }
-  det.Flush();
+  const auto last = det.Flush();
+  peaks.insert(peaks.end(), last.begin(), last.end());
   const double secs = watch.Seconds();
   // Forwarding granularity: everything is dispatched in whole chunks, so a
   // peak costs ceil(len/chunk) chunks of samples.
   std::int64_t forwarded = 0;
-  for (const auto& p : det.history()) {
+  for (const auto& p : peaks) {
     const std::int64_t len = p.length();
     const auto chunks =
         (len + static_cast<std::int64_t>(chunk) - 1) /
@@ -45,7 +50,7 @@ Result RunWithChunk(std::size_t chunk, dsp::const_sample_span x,
   for (const auto& r : truth) {
     if (r.visible) signal += r.end_sample - r.start_sample;
   }
-  return {secs, forwarded - signal, det.history().size()};
+  return {secs, forwarded - signal, peaks.size()};
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 namespace {
 namespace core = rfdump::core;
-namespace dsp = rfdump::dsp;
 }  // namespace
 
 int main() {
@@ -31,21 +30,14 @@ int main() {
   for (double gate : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0}) {
     core::PeakDetector::Config pcfg;
     pcfg.gate_db = gate;
-    core::PeakDetector det(pcfg);
-    for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-      det.PushChunk(dsp::const_sample_span(x).subspan(
-                        at, std::min(core::kChunkSamples, x.size() - at)),
-                    static_cast<std::int64_t>(at));
-    }
-    det.Flush();
+    const auto peaks = core::DetectPeaks(x, pcfg);
     core::WifiTimingDetector timing;
-    std::vector<core::Peak> peaks(det.history().begin(), det.history().end());
     const auto detections = timing.OnPeaks(peaks);
     const auto score = core::ScoreDetections(
         ether.truth(), core::Protocol::kWifi80211b, detections, total,
         "80211-sifs-timing");
     std::printf("%9.1f%s %8zu %16s %16s\n", gate, gate == 4.0 ? "*" : " ",
-                det.history().size(),
+                peaks.size(),
                 bench::FmtRate(score.MissRate()).c_str(),
                 bench::FmtRate(score.FalsePositiveRate(total)).c_str());
   }

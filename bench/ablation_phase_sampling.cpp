@@ -34,13 +34,7 @@ int main() {
   const auto total = static_cast<std::int64_t>(x.size());
 
   // Shared peak detection.
-  core::PeakDetector det;
-  for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-    det.PushChunk(dsp::const_sample_span(x).subspan(
-                      at, std::min(core::kChunkSamples, x.size() - at)),
-                  static_cast<std::int64_t>(at));
-  }
-  det.Flush();
+  const auto peaks = core::DetectPeaks(x);
 
   std::printf("%8s %12s %12s %16s %14s\n", "stride", "scan time", "tags",
               "fwd samples", "miss rate");
@@ -50,7 +44,7 @@ int main() {
     core::DbpskPhaseDetector phase(dcfg);
     std::vector<core::Detection> detections;
     const rfdump::obs::Stopwatch watch;
-    for (const auto& p : det.history()) {
+    for (const auto& p : peaks) {
       const auto s = static_cast<std::size_t>(std::max<std::int64_t>(
           p.start_sample, 0));
       const auto e = static_cast<std::size_t>(std::min<std::int64_t>(

@@ -111,12 +111,12 @@ void BM_PeakDetector(benchmark::State& state) {
   for (auto _ : state) {
     rfdump::core::PeakDetector det;
     for (std::size_t at = 0; at < x.size(); at += rfdump::core::kChunkSamples) {
-      det.PushChunk(dsp::const_sample_span(x).subspan(
-                        at, std::min(rfdump::core::kChunkSamples,
-                                     x.size() - at)),
-                    static_cast<std::int64_t>(at));
+      const auto meta = det.PushChunk(
+          dsp::const_sample_span(x).subspan(
+              at, std::min(rfdump::core::kChunkSamples, x.size() - at)),
+          static_cast<std::int64_t>(at));
+      benchmark::DoNotOptimize(meta.completed.size());
     }
-    benchmark::DoNotOptimize(det.CompletedCount());
   }
   SetRealTimeRate(state, x.size());
 }

@@ -65,17 +65,8 @@ int main() {
 
   // Peak / energy detection.
   std::size_t peaks = 0;
-  const double t_peak = Time([&] {
-    rfdump::core::PeakDetector det;
-    for (std::size_t at = 0; at < x.size(); at += rfdump::core::kChunkSamples) {
-      const std::size_t n =
-          std::min(rfdump::core::kChunkSamples, x.size() - at);
-      det.PushChunk(dsp::const_sample_span(x).subspan(at, n),
-                    static_cast<std::int64_t>(at));
-    }
-    det.Flush();
-    peaks = det.history().size();
-  });
+  const double t_peak =
+      Time([&] { peaks = rfdump::core::DetectPeaks(x).size(); });
 
   std::printf("%-34s %14s %10s\n", "GNU Radio Block", "CPU/Real time",
               "output");

@@ -287,7 +287,7 @@ int RunSelfTest(const std::string& corpus_root) {
   namespace rft = rfdump::testing;
   // Everything below enumerates the protocol registry: a newly registered
   // bundle appears in this listing, joins the differential sweep via its
-  // differential_member flag, and gets its corpus replayed via its fuzz
+  // naive_member flag, and gets its corpus replayed via its fuzz
   // hooks — with zero edits here.
   std::printf("[selftest] registered protocol bundles:\n");
   for (const auto& b : core::ProtocolRegistry::Instance().bundles()) {
@@ -912,11 +912,13 @@ int main(int argc, char** argv) {
     return RunTcpListen(host, port, expect_sensors, metrics_path, port_file,
                         max_seconds);
   }
+  std::string connect_host;
+  std::uint16_t connect_port = 0;
   if (!connect_hp.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!ParseHostPort("--connect", connect_hp, &host, &port)) return 2;
-    if (port == 0) {
+    if (!ParseHostPort("--connect", connect_hp, &connect_host, &connect_port)) {
+      return 2;
+    }
+    if (connect_port == 0) {
       std::fprintf(stderr, "error: --connect needs a concrete port\n");
       return 2;
     }
@@ -962,39 +964,31 @@ int main(int argc, char** argv) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads < 1) threads = 1;
   }
-  // --protocols overrides the default bundle set: exactly the named bundles.
-  const auto apply_protocols = [&](auto& cfg) {
+  // The rfdump pipeline of every mode that runs it (batch, --impair,
+  // --fleet, --connect), from the detector, demodulation and protocol
+  // flags. --protocols overrides the default bundle set: exactly the named
+  // bundles.
+  const auto rfdump_config = [&] {
+    core::RFDumpPipeline::Config cfg;
+    cfg.timing_detectors = (detectors != "phase");
+    cfg.phase_detectors = (detectors != "timing");
+    cfg.collision_detector = collisions;
+    cfg.EnableBundle(core::Protocol::kMicrowave);
+    cfg.noise_floor_power = noise_floor;
+    cfg.analysis.demodulate = !no_demod;
     if (protocols_set) cfg.bundle_mask = protocols_mask;
+    return cfg;
   };
-  if (!connect_hp.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!ParseHostPort("--connect", connect_hp, &host, &port)) return 2;
+  if (!connect_hp.empty() || fleet_sensors > 0) {
     core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
+    mcfg.pipeline = rfdump_config();
     mcfg.block_samples = 400'000;
     mcfg.overlap_samples = 160'000;
     mcfg.threads = threads;
-    apply_protocols(mcfg.pipeline);
-    return RunTcpConnect(x, host, port, sensor_id, mcfg, max_seconds);
-  }
-  if (fleet_sensors > 0) {
-    core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
-    mcfg.block_samples = 400'000;
-    mcfg.overlap_samples = 160'000;
-    mcfg.threads = threads;
-    apply_protocols(mcfg.pipeline);
+    if (!connect_hp.empty()) {
+      return RunTcpConnect(x, connect_host, connect_port, sensor_id, mcfg,
+                           max_seconds);
+    }
     return RunFleet(x, fleet_sensors, mcfg, fleet_status, fleet_status_json,
                     metrics_path, trace_path_out);
   }
@@ -1009,17 +1003,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.EnableBundle(core::Protocol::kMicrowave);
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
+    mcfg.pipeline = rfdump_config();
     mcfg.block_samples = 400'000;  // 50 ms blocks: visible health cadence
     mcfg.threads = threads;
     mcfg.cpu_budget = budget;
     mcfg.supervisor.demod_limits.max_cpu_seconds = deadline;
-    apply_protocols(mcfg.pipeline);
     report = MonitorImpaired(x, mcfg, metrics_path, quarantine_dir);
   } else if (arch == "naive" || arch == "energy") {
     core::NaivePipeline::Config cfg;
@@ -1027,18 +1015,11 @@ int main(int argc, char** argv) {
     cfg.noise_floor_power = noise_floor;
     cfg.analysis.demodulate = !no_demod;
     cfg.executor = &executor;
-    apply_protocols(cfg);
+    if (protocols_set) cfg.bundle_mask = protocols_mask;
     report = core::NaivePipeline(cfg).Process(x);
   } else if (arch == "rfdump") {
-    core::RFDumpPipeline::Config cfg;
-    cfg.timing_detectors = (detectors != "phase");
-    cfg.phase_detectors = (detectors != "timing");
-    cfg.collision_detector = collisions;
-    cfg.EnableBundle(core::Protocol::kMicrowave);
-    cfg.noise_floor_power = noise_floor;
-    cfg.analysis.demodulate = !no_demod;
+    core::RFDumpPipeline::Config cfg = rfdump_config();
     cfg.executor = &executor;
-    apply_protocols(cfg);
     report = core::RFDumpPipeline(cfg).Process(x);
   } else {
     std::fprintf(stderr, "unknown --arch %s\n", arch.c_str());

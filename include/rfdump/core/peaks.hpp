@@ -6,12 +6,11 @@
 // the detector first checks the average energy of the trailing window; only
 // if that exceeds the gate (noise floor + 4 dB) is the chunk examined
 // sample-by-sample with a 20-sample (2.5 us) moving average to find precise
-// peak boundaries (refined with an instantaneous-magnitude threshold). The
-// result is per-chunk metadata plus a shared history of recent peaks that all
-// protocol-specific detectors reuse.
+// peak boundaries (refined with an instantaneous-magnitude threshold). Each
+// chunk hands its caller the peaks it finished; the protocol-specific
+// detectors consume them and keep whatever state they need themselves.
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -40,14 +39,12 @@ struct Peak {
   }
 };
 
-/// Per-chunk metadata handed to the protocol-specific detectors: aggregate
-/// information plus (via PeakDetector) access to the shared peak history.
+/// What one chunk produced: the peaks it finished, in completion order, and
+/// whether the energy gate skipped its per-sample pass. `completed` points
+/// into the detector and stays valid until its next PushChunk or Flush.
 struct ChunkMeta {
-  std::int64_t start_sample = 0;
-  std::size_t n_samples = 0;
-  float window_power = 0.0f;   // trailing-window average power
-  bool gated_out = false;      // failed the energy gate, skipped
-  std::uint32_t peaks_completed = 0;  // peaks that ended in this chunk
+  std::span<const Peak> completed;
+  bool gated_out = false;  // failed the energy gate, skipped
 };
 
 /// Streaming peak detector.
@@ -57,14 +54,13 @@ class PeakDetector {
     double noise_floor_power = 1.0;  // known noise power (emulator default)
     double gate_db = kEnergyGateDb;
     std::size_t averaging_window = kAveragingWindow;
-    std::size_t history_capacity = 4096;
   };
 
   PeakDetector();
   explicit PeakDetector(Config config);
 
   /// Processes one chunk beginning at absolute sample `start_sample`.
-  /// Chunks must be fed in order. Returns the chunk's metadata.
+  /// Chunks must be fed in order. Returns the peaks the chunk finished.
   ChunkMeta PushChunk(dsp::const_sample_span chunk, std::int64_t start_sample);
 
   /// Same, with the chunk's power plane (FinitePower per sample) already
@@ -73,16 +69,9 @@ class PeakDetector {
   ChunkMeta PushChunk(dsp::const_sample_span chunk,
                       std::span<const float> power, std::int64_t start_sample);
 
-  /// Flushes any open peak at end of stream.
-  void Flush();
-
-  /// Completed peaks in chronological order (bounded ring; oldest evicted).
-  const std::deque<Peak>& history() const { return history_; }
-
-  /// Completed peaks whose index is >= `from` in completion order; use
-  /// CompletedCount() to track a cursor across PushChunk calls.
-  [[nodiscard]] std::uint64_t CompletedCount() const { return completed_; }
-  [[nodiscard]] std::vector<Peak> CompletedSince(std::uint64_t cursor) const;
+  /// Closes any open peak at end of stream and returns it (empty if none
+  /// was open); valid until the next PushChunk or Flush.
+  std::span<const Peak> Flush();
 
   const Config& config() const { return config_; }
 
@@ -101,9 +90,13 @@ class PeakDetector {
   std::int64_t below_since_ = -1;  // first sample the average fell below gate
   std::int64_t last_strong_ = -1;  // last sample clearly above the gate
   std::int64_t last_sample_ = 0;   // last absolute sample index processed
-  std::deque<Peak> history_;
-  std::uint64_t completed_ = 0;
-  std::vector<float> plane_;  // reusable per-chunk power plane
+  std::vector<Peak> completed_;  // peaks finished by the current call
+  std::vector<float> plane_;     // reusable per-chunk power plane
 };
+
+/// Every peak of `x`, fed in kChunkSamples chunks from sample 0 and flushed,
+/// in completion order.
+[[nodiscard]] std::vector<Peak> DetectPeaks(dsp::const_sample_span x,
+                                            PeakDetector::Config config = {});
 
 }  // namespace rfdump::core

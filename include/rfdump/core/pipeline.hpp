@@ -146,7 +146,6 @@ struct MonitorReport {
 /// Shared demodulator bank configuration.
 struct AnalysisConfig {
   bool demodulate = true;      // false: detection only (Fig 9 "no demod")
-  int bt_demods = 8;           // one per visible Bluetooth channel
   std::uint8_t bt_uap = 0x47;  // UAP known to the monitor (see DESIGN.md)
   /// Registry bundles whose intervals the analysis stage will demodulate
   /// (bit = BundleBit(protocol)). Defaults to all-on: the detect stage's
@@ -227,9 +226,6 @@ class RFDumpPipeline {
     /// wider executor parallelises demodulation with a deterministic
     /// ordered merge — result-bearing report fields are bit-identical.
     Executor* executor = nullptr;
-    /// Optional live consumer: Process() emits every report entry into the
-    /// sink after analysis (non-owning; see core/result_sink.hpp).
-    ResultSink* sink = nullptr;
 
     /// Enables one registry bundle (sets its bundle_mask bit).
     void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
@@ -240,7 +236,7 @@ class RFDumpPipeline {
 
   /// Processes a full capture (one-shot batch over a recorded trace, the
   /// paper's experimental mode). Equivalent to
-  /// AnalyzeDetections(Detect(x), x, config().executor, config().sink).
+  /// AnalyzeDetections(Detect(x), x, config().executor).
   [[nodiscard]] MonitorReport Process(dsp::const_sample_span x);
 
   /// Detection stages only (no demodulation); feed the result to
@@ -269,9 +265,8 @@ class NaivePipeline {
     void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
     /// Same contract as RFDumpPipeline::Config::supervisor.
     Supervisor* supervisor = nullptr;
-    /// Same contracts as RFDumpPipeline::Config::{executor, sink}.
+    /// Same contract as RFDumpPipeline::Config::executor.
     Executor* executor = nullptr;
-    ResultSink* sink = nullptr;
   };
 
   NaivePipeline();

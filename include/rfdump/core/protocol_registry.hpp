@@ -145,11 +145,11 @@ struct ProtocolBundle {
   /// other bundle is optional and shed first.
   bool default_enabled = true;
   /// Naive architectures demodulate this protocol over the full capture
-  /// (and tag its intervals from the energy gate).
+  /// (and tag its intervals from the energy gate). The four-architecture
+  /// differential harness diffs exactly these protocols: it compares the
+  /// naive architectures against RFDump, so it needs the naive ones to host
+  /// the protocol.
   bool naive_member = false;
-  /// The four-architecture differential harness enables this protocol on
-  /// every architecture and diffs its decode events across them.
-  bool differential_member = false;
   /// The conformance oracle scores precision/recall for this protocol.
   bool oracle_scored = false;
   /// Order of this bundle's detector hooks within Detect() (ascending).

@@ -127,7 +127,6 @@ ProtocolBundle MakeWifiBundle() {
   };
   b.default_enabled = true;
   b.naive_member = true;
-  b.differential_member = true;
   b.oracle_scored = true;
   b.detect_rank = 0;
 

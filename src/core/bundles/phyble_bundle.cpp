@@ -117,7 +117,6 @@ ProtocolBundle MakeBleBundle() {
   // per pipeline via EnableBundle(Protocol::kBleAdv) / --protocols ble.
   b.default_enabled = false;
   b.naive_member = true;
-  b.differential_member = true;
   b.oracle_scored = true;
   b.detect_rank = 4;
 

@@ -5,7 +5,6 @@
 // rfdump-bundle-cli: bt   (scanned by tests/CMakeLists.txt to derive the
 // per-protocol ctest labels — keep in sync with cli_name below)
 
-#include <algorithm>
 #include <cstdio>
 
 #include "rfdump/core/freq_detector.hpp"
@@ -153,7 +152,6 @@ ProtocolBundle MakeBtBundle() {
   };
   b.default_enabled = true;
   b.naive_member = true;
-  b.differential_member = true;
   b.oracle_scored = true;
   b.detect_rank = 1;
 
@@ -183,16 +181,15 @@ ProtocolBundle MakeBtBundle() {
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
-    // One unit per configured demodulator channel. Bluetooth always opens a
-    // supervision boundary, even with zero channels configured, and the
-    // multi-channel scan stops early once the interval's budget expires.
-    return AnalysisPlan{.units = std::max(a.bt_demods, 0),
+  b.analysis_plan = [](const AnalysisConfig&) {
+    // One unit per visible channel; the multi-channel scan stops early once
+    // the interval's budget expires.
+    return AnalysisPlan{.units = phybt::kVisibleChannels,
                         .check_budget = true};
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int unit) -> AnalysisCommit {
     phybt::Demodulator::Config cfg;
-    cfg.channel_index = unit % static_cast<int>(phybt::kVisibleChannels);
+    cfg.channel_index = unit;
     cfg.expected_uap = ctx.analysis->bt_uap;
     cfg.noise_floor_power = ctx.noise_floor_power;
     cfg.budget = ctx.budget;

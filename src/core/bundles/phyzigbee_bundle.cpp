@@ -87,7 +87,6 @@ ProtocolBundle MakeZigbeeBundle() {
   // stage 1 drops it.
   b.default_enabled = false;
   b.naive_member = false;
-  b.differential_member = false;
   b.oracle_scored = true;
   // After microwave: the historical Detect() ran the microwave timing
   // detector before the ZigBee one.

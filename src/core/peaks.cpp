@@ -53,10 +53,7 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
 ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
                                   std::span<const float> power,
                                   std::int64_t start_sample) {
-  ChunkMeta meta;
-  meta.start_sample = start_sample;
-  meta.n_samples = chunk.size();
-  const std::uint64_t completed_before = completed_;
+  completed_.clear();
   ChunkMetrics::Get().chunks.Inc();
 
   // Cheap pre-check: average energy of the trailing window of the chunk. If
@@ -70,22 +67,17 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
     tail_power += power[i];
   }
   tail_power = (w > 0) ? tail_power / static_cast<double>(w) : 0.0;
-  meta.window_power = static_cast<float>(tail_power);
 
   if (!in_peak_ && tail_power < GatePower()) {
-    meta.gated_out = true;
     ChunkMetrics::Get().gated.Inc();
     // Keep the moving average primed with a cheap summary so a peak starting
     // at the very beginning of the next chunk is still anchored correctly.
     avg_.Reset();
-    meta.peaks_completed = 0;
-    return meta;
+    return {.completed = {}, .gated_out = true};
   }
 
   ProcessSamples(power, start_sample);
-  meta.peaks_completed =
-      static_cast<std::uint32_t>(completed_ - completed_before);
-  return meta;
+  return {.completed = completed_};
 }
 
 void PeakDetector::ProcessSamples(std::span<const float> power,
@@ -156,29 +148,33 @@ void PeakDetector::ClosePeak(std::int64_t end) {
   const auto len = static_cast<double>(open_peak_.length());
   open_peak_.mean_power =
       static_cast<float>(open_power_sum_ / std::max(len, 1.0));
-  history_.push_back(open_peak_);
-  ++completed_;
+  completed_.push_back(open_peak_);
   ChunkMetrics::Get().completed.Inc();
-  while (history_.size() > config_.history_capacity) history_.pop_front();
   below_since_ = -1;
 }
 
-void PeakDetector::Flush() {
+std::span<const Peak> PeakDetector::Flush() {
+  completed_.clear();
   if (in_peak_) {
     ClosePeak(below_since_ > 0 ? below_since_ : last_sample_ + 1);
   }
+  return completed_;
 }
 
-std::vector<Peak> PeakDetector::CompletedSince(std::uint64_t cursor) const {
-  std::vector<Peak> out;
-  if (cursor >= completed_) return out;
-  const std::uint64_t want = completed_ - cursor;
-  const std::uint64_t have = std::min<std::uint64_t>(want, history_.size());
-  out.reserve(have);
-  for (std::size_t i = history_.size() - have; i < history_.size(); ++i) {
-    out.push_back(history_[i]);
+std::vector<Peak> DetectPeaks(dsp::const_sample_span x,
+                              PeakDetector::Config config) {
+  PeakDetector det(config);
+  std::vector<Peak> peaks;
+  for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
+    const std::size_t n = std::min(kChunkSamples, x.size() - at);
+    const auto done =
+        det.PushChunk(x.subspan(at, n), static_cast<std::int64_t>(at))
+            .completed;
+    peaks.insert(peaks.end(), done.begin(), done.end());
   }
-  return out;
+  const auto last = det.Flush();
+  peaks.insert(peaks.end(), last.begin(), last.end());
+  return peaks;
 }
 
 }  // namespace rfdump::core

@@ -155,8 +155,7 @@ void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
 
   for (const auto& d : intervals) {
     // Unit plan per protocol from the registry: a disabled bundle (negative
-    // unit count) never opens a supervision boundary; a zero-unit plan (e.g.
-    // Bluetooth with zero channels configured) still does.
+    // unit count) never opens a supervision boundary.
     const ProtocolBundle* bundle = registry.Find(d.protocol);
     if (bundle == nullptr || !bundle->analysis_plan ||
         (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
@@ -410,7 +409,7 @@ RFDumpPipeline::RFDumpPipeline(Config config) : config_(config) {}
 
 MonitorReport RFDumpPipeline::Process(dsp::const_sample_span x) {
   RFDUMP_TRACE_SPAN("pipeline/process");
-  return AnalyzeDetections(Detect(x), x, config_.executor, config_.sink);
+  return AnalyzeDetections(Detect(x), x, config_.executor);
 }
 
 DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
@@ -473,7 +472,6 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // every detection appended since the last mark.
   std::vector<TagHook> hook_of;
   const auto mark = [&](TagHook h) { hook_of.resize(detections.size(), h); };
-  std::uint64_t peak_cursor = 0;
 
   // Stage boundary for the cheap detectors: with a supervisor, a throwing
   // detector is counted and contained (that detector contributes nothing for
@@ -545,11 +543,14 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
     const std::size_t n = std::min(kChunkSamples, x.size() - at);
     const auto chunk = x.subspan(at, n);
+    std::span<const Peak> fresh;
     {
       StageScope scope(costs, Stage::kPeak, n);
-      peaks.PushChunk(chunk,
-                      std::span<const float>(plane).subspan(at, n),
-                      static_cast<std::int64_t>(at));
+      fresh = peaks
+                  .PushChunk(chunk,
+                             std::span<const float>(plane).subspan(at, n),
+                             static_cast<std::int64_t>(at))
+                  .completed;
     }
     for (auto& a : active) {
       if (!a.hooks.on_chunk) continue;
@@ -558,15 +559,14 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
       detections.insert(detections.end(), d.begin(), d.end());
       mark(TagHook::kOther);
     }
-    const auto fresh = peaks.CompletedSince(peak_cursor);
-    peak_cursor = peaks.CompletedCount();
     handle_peaks(fresh);
   }
+  std::span<const Peak> last;
   {
     StageScope scope(costs, Stage::kPeak, 0);
-    peaks.Flush();
+    last = peaks.Flush();
   }
-  handle_peaks(peaks.CompletedSince(peak_cursor));
+  handle_peaks(last);
   for (auto& a : active) {
     if (!a.hooks.chunk_flush) continue;
     StageScope scope(costs, Stage::kFreq, 0);
@@ -642,7 +642,7 @@ NaivePipeline::NaivePipeline(Config config) : config_(config) {}
 
 MonitorReport NaivePipeline::Process(dsp::const_sample_span x) {
   RFDUMP_TRACE_SPAN("pipeline/naive-process");
-  return AnalyzeDetections(Detect(x), x, config_.executor, config_.sink);
+  return AnalyzeDetections(Detect(x), x, config_.executor);
 }
 
 DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
@@ -664,41 +664,18 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
     // noise floor goes to ALL demodulators.
     PeakDetector::Config pd_cfg;
     pd_cfg.noise_floor_power = config_.noise_floor_power;
-    PeakDetector peaks(pd_cfg);
-    struct NaivePlaneTag {};
-    auto& plane = util::Scratch<float, NaivePlaneTag>();
+    std::vector<Peak> peaks;
     {
-      StageScope scope(report.costs, Stage::kEnergy, 0);
-      plane.resize(x.size());
-      dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
+      StageScope scope(report.costs, Stage::kEnergy, x.size());
+      peaks = DetectPeaks(x, pd_cfg);
     }
-    // Peaks are collected as they complete: the detector's history is a
-    // bounded ring, so reading it only after the last chunk would drop
-    // every peak but the newest history_capacity.
     const std::int64_t pad = UsToSamples(kDispatchPadUs);
     std::vector<Detection> raw;
-    std::uint64_t peak_cursor = 0;
-    const auto collect = [&] {
-      for (const Peak& p : peaks.CompletedSince(peak_cursor)) {
-        for (const Protocol protocol : members) {
-          raw.push_back({protocol, p.start_sample - pad, p.end_sample + pad,
-                         1.0f, "energy"});
-        }
+    for (const Peak& p : peaks) {
+      for (const Protocol protocol : members) {
+        raw.push_back({protocol, p.start_sample - pad, p.end_sample + pad,
+                       1.0f, "energy"});
       }
-      peak_cursor = peaks.CompletedCount();
-    };
-    for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
-      const std::size_t n = std::min(kChunkSamples, x.size() - at);
-      StageScope scope(report.costs, Stage::kEnergy, n);
-      peaks.PushChunk(x.subspan(at, n),
-                      std::span<const float>(plane).subspan(at, n),
-                      static_cast<std::int64_t>(at));
-      collect();
-    }
-    {
-      StageScope scope(report.costs, Stage::kEnergy, 0);
-      peaks.Flush();
-      collect();
     }
     intervals = MergeDetections(std::move(raw), pad,
                                 static_cast<std::int64_t>(x.size()));

@@ -276,11 +276,9 @@ void StreamingMonitor::RecordHealth(const HealthReport& h) {
 void StreamingMonitor::ApplyShedStage() {
   RFDumpPipeline::Config cfg = config_.pipeline;
   cfg.supervisor = &supervisor_;  // breaker state survives reconstruction
-  // The monitor controls execution and emission itself: analysis fan-out
-  // happens via AnalyzeDetections in AnalyzeBlock, and all emission goes
-  // through the monitor's ownership filter.
+  // The monitor controls execution itself: analysis fan-out happens via
+  // AnalyzeDetections in AnalyzeBlock.
   cfg.executor = nullptr;
-  cfg.sink = nullptr;
   const int stage = shed_stage_.load(std::memory_order_relaxed);
   if (stage >= 1) {
     // Optional = not default-enabled: only the default bundles stay.

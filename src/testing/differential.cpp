@@ -25,10 +25,10 @@ struct Event {
 };
 
 /// True for protocols all four architectures are expected to decode — the
-/// registry's differential_member flag, not a hand-list.
+/// registry's naive_member flag, not a hand-list.
 bool DifferentialMember(core::Protocol p) {
   const auto* bundle = core::ProtocolRegistry::Instance().Find(p);
-  return bundle != nullptr && bundle->differential_member;
+  return bundle != nullptr && bundle->naive_member;
 }
 
 std::vector<Event> Events(const core::MonitorReport& r, unsigned arch_bit) {
@@ -143,19 +143,19 @@ DifferentialResult RunDifferential(const RenderedScenario& scenario,
     cfg.energy_gate = (gate == 1);
     cfg.analysis = policy.analysis;
     for (const auto& bundle : registry.bundles()) {
-      if (bundle.differential_member) cfg.EnableBundle(bundle.protocol);
+      if (bundle.naive_member) cfg.EnableBundle(bundle.protocol);
     }
     reports[gate] = core::NaivePipeline(cfg).Process(x);
   }
   {
     core::RFDumpPipeline::Config cfg;
     cfg.analysis = policy.analysis;
-    // ZigBee is not a differential member (the naive architectures cannot
+    // ZigBee is not a naive member (the naive architectures cannot
     // detect it), but the rfdump@1 vs rfdump@N exact-fingerprint comparison
     // covers it, as it always has.
     cfg.EnableBundle(core::Protocol::kZigbee);
     for (const auto& bundle : registry.bundles()) {
-      if (bundle.differential_member) cfg.EnableBundle(bundle.protocol);
+      if (bundle.naive_member) cfg.EnableBundle(bundle.protocol);
     }
     reports[2] = core::RFDumpPipeline(cfg).Process(x);
 

@@ -1,4 +1,4 @@
-// Peak detector tests: gating, boundary precision, merging, history.
+// Peak detector tests: gating, boundary precision, merging, delivery.
 
 #include <gtest/gtest.h>
 
@@ -31,21 +31,12 @@ dsp::SampleVec MakeStream(std::size_t total,
   return x;
 }
 
-void Feed(core::PeakDetector& det, dsp::const_sample_span x) {
-  for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-    const std::size_t n = std::min(core::kChunkSamples, x.size() - at);
-    det.PushChunk(x.subspan(at, n), static_cast<std::int64_t>(at));
-  }
-  det.Flush();
-}
-
 TEST(PeakDetector, FindsSingleBurst) {
   // 20 dB burst of 4000 samples at offset 10000.
   const auto x = MakeStream(30000, {{10000, 4000}}, 100.0, 1.0, 1);
-  core::PeakDetector det;
-  Feed(det, x);
-  ASSERT_EQ(det.history().size(), 1u);
-  const auto& p = det.history().front();
+  const auto peaks = core::DetectPeaks(x);
+  ASSERT_EQ(peaks.size(), 1u);
+  const auto& p = peaks.front();
   EXPECT_NEAR(static_cast<double>(p.start_sample), 10000.0, 40.0);
   EXPECT_NEAR(static_cast<double>(p.end_sample), 14000.0, 60.0);
   EXPECT_NEAR(p.mean_power, 101.0f, 15.0f);  // burst + noise
@@ -53,26 +44,25 @@ TEST(PeakDetector, FindsSingleBurst) {
 
 TEST(PeakDetector, QuietStreamHasNoPeaks) {
   const auto x = MakeStream(50000, {}, 0.0, 1.0, 2);
-  core::PeakDetector det;
-  Feed(det, x);
-  EXPECT_TRUE(det.history().empty());
+  EXPECT_TRUE(core::DetectPeaks(x).empty());
 }
 
 TEST(PeakDetector, GatesOutQuietChunks) {
   const auto x = MakeStream(40000, {{20000, 2000}}, 50.0, 1.0, 3);
   core::PeakDetector det;
-  std::size_t gated = 0, total = 0;
+  std::size_t gated = 0, total = 0, peaks = 0;
   for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
     const auto meta = det.PushChunk(
         dsp::const_sample_span(x).subspan(at, core::kChunkSamples),
         static_cast<std::int64_t>(at));
     ++total;
     if (meta.gated_out) ++gated;
+    peaks += meta.completed.size();
   }
-  det.Flush();
+  peaks += det.Flush().size();
   // Most chunks are quiet: the cheap path must dominate.
   EXPECT_GT(gated, total * 8 / 10);
-  EXPECT_EQ(det.history().size(), 1u);
+  EXPECT_EQ(peaks, 1u);
 }
 
 TEST(PeakDetector, SeparatesTwoBurstsWithSifsGap) {
@@ -80,11 +70,9 @@ TEST(PeakDetector, SeparatesTwoBurstsWithSifsGap) {
   // two distinct peaks (that gap IS the 802.11 timing signature).
   const auto x = MakeStream(30000, {{8000, 4000}, {12080, 1000}}, 100.0, 1.0,
                             4);
-  core::PeakDetector det;
-  Feed(det, x);
-  ASSERT_EQ(det.history().size(), 2u);
-  const std::int64_t gap =
-      det.history()[1].start_sample - det.history()[0].end_sample;
+  const auto peaks = core::DetectPeaks(x);
+  ASSERT_EQ(peaks.size(), 2u);
+  const std::int64_t gap = peaks[1].start_sample - peaks[0].end_sample;
   EXPECT_NEAR(static_cast<double>(gap), 80.0, 25.0);
 }
 
@@ -95,34 +83,36 @@ TEST(PeakDetector, MergesPeaksAcrossTinyDips) {
   for (std::size_t i = 7000; i < 7004; ++i) x[i] = {0.0f, 0.0f};
   Xoshiro256 rng(5);
   rfdump::channel::AddAwgn(x, 1.0, rng);
-  core::PeakDetector det;
-  Feed(det, x);
-  EXPECT_EQ(det.history().size(), 1u);
+  EXPECT_EQ(core::DetectPeaks(x).size(), 1u);
 }
 
 TEST(PeakDetector, PeakSpanningManyChunks) {
   const auto x = MakeStream(100000, {{10000, 50000}}, 100.0, 1.0, 6);
-  core::PeakDetector det;
-  Feed(det, x);
-  ASSERT_EQ(det.history().size(), 1u);
-  EXPECT_NEAR(static_cast<double>(det.history()[0].length()), 50000.0, 100.0);
+  const auto peaks = core::DetectPeaks(x);
+  ASSERT_EQ(peaks.size(), 1u);
+  EXPECT_NEAR(static_cast<double>(peaks[0].length()), 50000.0, 100.0);
 }
 
-TEST(PeakDetector, CompletedSinceCursor) {
+TEST(PeakDetector, ChunkReturnsThePeaksItFinished) {
   const auto x = MakeStream(60000, {{10000, 1000}, {30000, 1000},
                                     {50000, 1000}},
                             100.0, 1.0, 7);
+  const dsp::const_sample_span xs(x);
   core::PeakDetector det;
-  std::uint64_t cursor = 0;
   std::size_t seen = 0;
   for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
-    det.PushChunk(dsp::const_sample_span(x).subspan(at, core::kChunkSamples),
-                  static_cast<std::int64_t>(at));
-    seen += det.CompletedSince(cursor).size();
-    cursor = det.CompletedCount();
+    const auto start = static_cast<std::int64_t>(at);
+    const auto chunk = xs.subspan(at, core::kChunkSamples);
+    const auto done = det.PushChunk(chunk, start).completed;
+    // A peak is handed over by the chunk its end falls in, and only once.
+    const auto len = static_cast<std::int64_t>(core::kChunkSamples);
+    for (const auto& p : done) {
+      EXPECT_LE(p.end_sample, start + len);
+      EXPECT_GT(p.end_sample, start - len);
+    }
+    seen += done.size();
   }
-  det.Flush();
-  seen += det.CompletedSince(cursor).size();
+  EXPECT_TRUE(det.Flush().empty());
   EXPECT_EQ(seen, 3u);
 }
 
@@ -132,26 +122,48 @@ TEST(PeakDetector, LowSnrBurstMissed) {
   // paper's Figures 6-8.
   const auto x = MakeStream(30000, {{10000, 3000}},
                             rfdump::dsp::DbToPower(-5.0), 1.0, 8);
-  core::PeakDetector det;
-  Feed(det, x);
-  EXPECT_TRUE(det.history().empty());
+  EXPECT_TRUE(core::DetectPeaks(x).empty());
 }
 
-TEST(PeakDetector, HistoryCapacityBounded) {
-  core::PeakDetector::Config cfg;
-  cfg.history_capacity = 4;
-  core::PeakDetector det(cfg);
-  dsp::SampleVec x(60000, dsp::cfloat{0.0f, 0.0f});
-  for (int b = 0; b < 10; ++b) {
-    for (std::size_t i = 0; i < 500; ++i) {
-      x[static_cast<std::size_t>(b) * 5000 + 1000 + i] = {10.0f, 0.0f};
-    }
+TEST(PeakDetector, DeliversEveryPeakOfALongCapture) {
+  // 5000 separated bursts: more peaks than any fixed-size buffer would
+  // hold, so a lost or reordered peak shows. The noise sits 14 dB under the
+  // gate's floor, so it never opens a peak of its own.
+  constexpr std::size_t kBursts = 5000;
+  constexpr std::size_t kPitch = 1000;
+  std::vector<std::pair<std::size_t, std::size_t>> bursts;
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    bursts.emplace_back(b * kPitch + 300, 400);
   }
-  Xoshiro256 rng(9);
-  rfdump::channel::AddAwgn(x, 1.0, rng);
-  Feed(det, x);
-  EXPECT_EQ(det.CompletedCount(), 10u);
-  EXPECT_EQ(det.history().size(), 4u);
+  const auto x = MakeStream(kBursts * kPitch, bursts, 100.0, 0.04, 9);
+
+  const auto peaks = core::DetectPeaks(x);
+  ASSERT_EQ(peaks.size(), kBursts);
+  for (std::size_t b = 0; b < kBursts; ++b) {
+    EXPECT_NEAR(static_cast<double>(peaks[b].start_sample),
+                static_cast<double>(bursts[b].first), 40.0)
+        << "burst " << b;
+  }
+
+  // The per-chunk spans, concatenated, are exactly that list.
+  const dsp::const_sample_span xs(x);
+  core::PeakDetector det;
+  std::vector<core::Peak> streamed;
+  for (std::size_t at = 0; at < x.size(); at += core::kChunkSamples) {
+    const auto chunk = xs.subspan(at, core::kChunkSamples);
+    const auto done =
+        det.PushChunk(chunk, static_cast<std::int64_t>(at)).completed;
+    streamed.insert(streamed.end(), done.begin(), done.end());
+  }
+  const auto last = det.Flush();
+  streamed.insert(streamed.end(), last.begin(), last.end());
+  ASSERT_EQ(streamed.size(), peaks.size());
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    EXPECT_EQ(streamed[i].start_sample, peaks[i].start_sample) << i;
+    EXPECT_EQ(streamed[i].end_sample, peaks[i].end_sample) << i;
+    EXPECT_EQ(streamed[i].mean_power, peaks[i].mean_power) << i;
+    EXPECT_EQ(streamed[i].peak_power, peaks[i].peak_power) << i;
+  }
 }
 
 TEST(PeakDetector, GatePowerMatchesConfig) {

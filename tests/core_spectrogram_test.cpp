@@ -83,8 +83,8 @@ TEST(ZigbeePipeline, DetectAndDecodeEndToEnd) {
 
   core::RFDumpPipeline::Config pcfg;
   pcfg.EnableBundle(core::Protocol::kZigbee);
-  pcfg.analysis.bundle_mask &= ~core::BundleBit(core::Protocol::kWifi80211b);
-  pcfg.analysis.bt_demods = 0;
+  pcfg.analysis.bundle_mask &= ~(core::BundleBit(core::Protocol::kWifi80211b) |
+                                 core::BundleBit(core::Protocol::kBluetooth));
   core::RFDumpPipeline pipeline(pcfg);
   const auto report = pipeline.Process(x);
 

@@ -55,9 +55,9 @@ TEST(Streaming, MatchesBatchResults) {
   const auto scenario = MakeScenario(10, 1);
 
   WifiStarts batch;
-  core::RFDumpPipeline::Config pcfg;
-  pcfg.sink = &batch;
-  (void)core::RFDumpPipeline(pcfg).Process(scenario.samples);
+  const dsp::const_sample_span x(scenario.samples);
+  core::RFDumpPipeline pipeline;
+  (void)core::AnalyzeDetections(pipeline.Detect(x), x, nullptr, &batch);
 
   WifiStarts streamed;
   auto cfg = SmallBlocks();

@@ -119,9 +119,8 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
     core::CollectingSink sink;
     core::RFDumpPipeline::Config cfg;
     cfg.EnableBundle(core::Protocol::kZigbee);
-    cfg.executor = &executor;
-    cfg.sink = &sink;
-    const auto report = core::RFDumpPipeline(cfg).Process(x);
+    const auto report = core::AnalyzeDetections(
+        core::RFDumpPipeline(cfg).Detect(x), x, &executor, &sink);
     const auto fp = Fingerprint(report);
     const auto sink_fp = Fingerprint(sink);
     if (width == 1) {

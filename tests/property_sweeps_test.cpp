@@ -212,22 +212,14 @@ TEST_P(PeakDetectorSnrSweep, BurstCountMonotonicWithSnr) {
   Xoshiro256 rng(static_cast<std::uint64_t>(snr * 100) + 5);
   rfdump::channel::AddAwgn(x, 1.0, rng);
 
-  rfdump::core::PeakDetector det;
-  for (std::size_t at = 0; at < x.size(); at += rfdump::core::kChunkSamples) {
-    det.PushChunk(
-        dsp::const_sample_span(x).subspan(
-            at, std::min(rfdump::core::kChunkSamples, x.size() - at)),
-        static_cast<std::int64_t>(at));
-  }
-  det.Flush();
-  for (const auto& p : det.history()) {
+  const auto peaks = rfdump::core::DetectPeaks(x);
+  for (const auto& p : peaks) {
     EXPECT_GE(p.start_sample, 20000 - 200) << "snr " << snr;
     EXPECT_LE(p.end_sample, 28000 + 200) << "snr " << snr;
   }
   if (snr >= 6.0) {
-    ASSERT_EQ(det.history().size(), 1u) << "snr " << snr;
-    EXPECT_NEAR(static_cast<double>(det.history()[0].length()), 8000.0,
-                150.0);
+    ASSERT_EQ(peaks.size(), 1u) << "snr " << snr;
+    EXPECT_NEAR(static_cast<double>(peaks[0].length()), 8000.0, 150.0);
   }
 }
 
