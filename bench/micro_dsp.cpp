@@ -263,6 +263,14 @@ int RunSpeedupTable() {
     float gate = gfsk_channel.Process(x, 0.0).gate;
     benchmark::DoNotOptimize(gate);
   });
+  // The occupancy screen the scanners run before that front end, per
+  // channel-sample of noise at the configured floor: no stretch passes, so it
+  // reads the whole span, as on every channel it screens out. It is not in
+  // the kernel table, so both columns time the same code.
+  measure("gfsk-screen", false, [&](const simd::Kernels&) {
+    const bool occupied = gfsk_channel.Occupied(x, 1.0);
+    benchmark::DoNotOptimize(occupied);
+  });
   // The ZigBee sync search per sample of frame-free 802.11b air (a 2 Mbps
   // frame over noise), where no offset passes the preamble screen. Also
   // dispatches through simd::Active(), so it forces each tier too.

@@ -8,7 +8,6 @@
 // streaming reference that bench/micro_dsp and perfbench's dsp.fir row time.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
@@ -23,9 +22,6 @@ class FirFilter {
  public:
   /// Constructs from a tap vector. Must be non-empty.
   explicit FirFilter(std::vector<float> taps);
-
-  std::size_t tap_count() const { return taps_.size(); }
-  std::span<const float> taps() const { return taps_; }
 
   /// Filters `input`, appending `input.size()` output samples to `out`.
   void Process(const_sample_span input, SampleVec& out);

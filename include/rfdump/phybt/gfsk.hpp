@@ -106,11 +106,24 @@ class GfskChannel {
   [[nodiscard]] GfskTrack Process(dsp::const_sample_span x,
                                   double noise_floor_power) const;
 
+  /// The occupancy screen the scanners run before Process (DESIGN.md §16).
+  /// A Hann-windowed 32-point DFT every 16 samples reads the channel's bins
+  /// -1, 0 and +1. The energy of 4 consecutive windows (an 80-sample
+  /// stretch) less its strongest window is compared with a fixed multiple
+  /// of the noise `noise_floor_power` puts in three. Returns false only when
+  /// no stretch reaches it. Returns true when the floor is unknown (<= 0),
+  /// when `x` is shorter than one stretch, and as soon as a window holds a
+  /// non-finite sample.
+  [[nodiscard]] bool Occupied(dsp::const_sample_span x,
+                              double noise_floor_power) const;
+
  private:
   /// out[n] = x[n] * mix_table()[n mod period()].
   void Mix(dsp::const_sample_span x, dsp::cfloat* out) const;
 
-  std::array<dsp::cfloat, kMaxMixPeriod> table_{};
+  /// The period repeated to the end, so that any run of up to
+  /// kMaxMixPeriod entries starting inside the first period is contiguous.
+  std::array<dsp::cfloat, 2 * kMaxMixPeriod> table_{};
   std::size_t period_ = 0;
 };
 

@@ -32,8 +32,8 @@ class WorkBudget {
     /// Work cap in front-end-sample units; reprocessed samples (e.g. repeated
     /// sync attempts over the same window) charge again. 0 = unlimited.
     std::uint64_t max_samples = 0;
-    /// Wall-clock CPU cap for the invocation (the loops are single-threaded,
-    /// so monotonic elapsed time == CPU time). 0 = unlimited.
+    /// CPU cap for the invocation, read as monotonic elapsed time: under
+    /// contention that overstates CPU time (DESIGN.md §9). 0 = unlimited.
     double max_cpu_seconds = 0.0;
   };
 

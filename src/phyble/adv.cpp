@@ -173,6 +173,8 @@ void AdvDemodulator::ScanChannel(dsp::const_sample_span x, int channel,
       "rfdump_phyble_crc_pass_total");
   static obs::Counter& c_crc_fail = obs::Registry::Default().GetCounter(
       "rfdump_phyble_crc_fail_total");
+  static obs::Counter& c_screened = obs::Registry::Default().GetCounter(
+      "rfdump_phyble_channels_screened_total");
   c_samples.Inc(x.size());
 
   // Same cooperative-deadline shape as phybt: the linear front matter is
@@ -180,11 +182,16 @@ void AdvDemodulator::ScanChannel(dsp::const_sample_span x, int channel,
   util::WorkBudget* budget = config_.budget;
   if (budget && !budget->Charge(x.size())) return;
 
-  // Channelize, discriminate, gate and pack the slicer plane: the phybt
-  // GFSK front end, tuned to the folded advertising channel.
-  const phybt::GfskTrack track =
-      phybt::GfskChannel(*AdvChannelOffsetHz(channel))
-          .Process(x, config_.noise_floor_power);
+  // The phybt GFSK front end, tuned to the folded advertising channel; a
+  // channel with no stretch above the noise floor is not channelized.
+  const phybt::GfskChannel front(*AdvChannelOffsetHz(channel));
+  if (!front.Occupied(x, config_.noise_floor_power)) {
+    c_screened.Inc();
+    return;
+  }
+
+  // Channelize, discriminate, gate and pack the slicer plane.
+  const phybt::GfskTrack track = front.Process(x, config_.noise_floor_power);
   const std::span<const float> freq = track.freq;
 
   const std::size_t need = kSyncBits * kSps;

@@ -47,6 +47,8 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
       "rfdump_phybt_crc_pass_total");
   static obs::Counter& c_crc_fail = obs::Registry::Default().GetCounter(
       "rfdump_phybt_crc_fail_total");
+  static obs::Counter& c_screened = obs::Registry::Default().GetCounter(
+      "rfdump_phybt_channels_screened_total");
   c_samples.Inc(x.size());
 
   // Cooperative deadline: channelize + filter + discriminate are linear in
@@ -55,9 +57,15 @@ void Demodulator::ScanChannel(dsp::const_sample_span x, int idx,
   util::WorkBudget* budget = config_.budget;
   if (budget && !budget->Charge(x.size())) return;
 
+  // A channel with no stretch above the noise floor is not channelized.
+  const GfskChannel channel(VisibleIndexOffsetHz(idx));
+  if (!channel.Occupied(x, config_.noise_floor_power)) {
+    c_screened.Inc();
+    return;
+  }
+
   // Channelize, discriminate, gate and pack the slicer plane.
-  const GfskTrack track = GfskChannel(VisibleIndexOffsetHz(idx))
-                              .Process(x, config_.noise_floor_power);
+  const GfskTrack track = channel.Process(x, config_.noise_floor_power);
   const std::span<const float> freq = track.freq;
 
   const std::size_t need = kAccessBits * kSps;

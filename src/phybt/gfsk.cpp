@@ -106,6 +106,66 @@ const std::vector<float>& ChannelTaps() {
   return kTaps;
 }
 
+// Occupancy screen: 32-point windows every 16 samples, 4 windows (80
+// samples) to a stretch.
+constexpr std::size_t kScreenLen = 32;
+constexpr std::size_t kScreenHop = kScreenLen / 2;
+constexpr std::size_t kScreenGroup = 4;
+// A stretch less its strongest window is occupied from this multiple of the
+// energy the noise floor puts in three windows. DESIGN.md §16 derives it
+// from the SNR sweep in tests/phybt_test.cpp and tests/phyble_test.cpp.
+constexpr double kScreenFactor = 5.0;
+
+// Four float lanes (GCC/Clang vector extension). The screen's arithmetic is
+// written on them lane by lane, so every lane runs one fixed sequence of
+// IEEE operations whatever the compiler and the dispatch tier.
+using Lanes = float __attribute__((vector_size(16)));
+
+Lanes LoadLanes(const float* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Real and imaginary parts of the 4 complex samples at p, as two Lanes.
+void Deinterleave(const dsp::cfloat* p, Lanes& re, Lanes& im) {
+  const auto* f = reinterpret_cast<const float*>(p);
+  const Lanes a = LoadLanes(f);
+  const Lanes b = LoadLanes(f + 4);
+  re = __builtin_shufflevector(a, b, 0, 2, 4, 6);
+  im = __builtin_shufflevector(a, b, 1, 3, 5, 7);
+}
+
+// The screen's DFT rows over one half window. Rows 0-2 weight the window's
+// first half, rows 3-5 its second half, with the periodic Hann window w,
+// w*cos(2 pi n / 32) and w*sin(2 pi n / 32). Bin 0 is sum(w y); bins -1 and
+// +1 are P + jQ and P - jQ with P = sum(w cos y) and Q = sum(w sin y), so
+// together they hold 2(|P|^2 + |Q|^2).
+struct ScreenRows {
+  float row[6][kScreenHop] = {};
+  double noise_gain = 0.0;  // window energy per unit of input noise power
+};
+
+const ScreenRows& Screen() {
+  static const ScreenRows kRows = [] {
+    ScreenRows s;
+    for (std::size_t n = 0; n < kScreenLen; ++n) {
+      const double a = 2.0 * std::numbers::pi * static_cast<double>(n) /
+                       static_cast<double>(kScreenLen);
+      const double w = 0.5 - 0.5 * std::cos(a);
+      const float row[3] = {static_cast<float>(w),
+                            static_cast<float>(w * std::cos(a)),
+                            static_cast<float>(w * std::sin(a))};
+      for (std::size_t r = 0; r < 3; ++r) {
+        s.row[3 * (n / kScreenHop) + r][n % kScreenHop] = row[r];
+        s.noise_gain += (r == 0 ? 1.0 : 2.0) * row[r] * row[r];
+      }
+    }
+    return s;
+  }();
+  return kRows;
+}
+
 }  // namespace
 
 std::uint64_t SlicerPlane::Word(std::size_t first_center,
@@ -194,6 +254,9 @@ GfskChannel::GfskChannel(double offset_hz) {
   }
   dsp::Nco nco(-offset_hz, dsp::kSampleRateHz);
   for (std::size_t i = 0; i < period_; ++i) table_[i] = nco.Next();
+  for (std::size_t i = period_; i < table_.size(); ++i) {
+    table_[i] = table_[i - period_];
+  }
 }
 
 void GfskChannel::Mix(dsp::const_sample_span x, dsp::cfloat* out) const {
@@ -265,6 +328,83 @@ GfskTrack GfskChannel::Process(dsp::const_sample_span x,
   track.plane = PackSlicerPlane(
       freq, util::Scratch<std::uint64_t, PlaneTag>());
   return track;
+}
+
+bool GfskChannel::Occupied(dsp::const_sample_span x,
+                           double noise_floor_power) const {
+  const std::size_t halves = x.size() / kScreenHop;
+  if (!(noise_floor_power > 0.0) || halves < kScreenGroup + 1) return true;
+  const ScreenRows& s = Screen();
+  const double limit = kScreenFactor * static_cast<double>(kScreenGroup - 1) *
+                       s.noise_gain * noise_floor_power;
+  // Lane sums, real and imaginary, of rows 0-2 over the previous half: the
+  // first half of the window that started there.
+  Lanes head[2][3] = {};
+  double energy[kScreenGroup] = {};
+  const std::size_t step = kScreenHop % period_;
+  std::size_t phase = 0;  // mixing-table entry of the half's first sample
+  for (std::size_t h = 0; h < halves; ++h) {
+    const dsp::cfloat* in = x.data() + h * kScreenHop;
+    const dsp::cfloat* t = table_.data() + phase;
+    phase += step;
+    if (phase >= period_) phase -= period_;
+    // Mix 4 samples at a time to DC and add each row's products into its
+    // lanes: lane l ends up holding positions l, l+4, l+8 and l+12, in that
+    // order. The complex product is written out, so a non-finite sample
+    // stays non-finite (std::complex's would try to recover infinities).
+    Lanes lanes[2][6] = {};
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < kScreenHop; i += 4) {
+      Lanes xr, xi, tr, ti;
+      Deinterleave(in + i, xr, xi);
+      Deinterleave(t + i, tr, ti);
+      const Lanes yr = xr * tr - xi * ti;
+      const Lanes yi = xr * ti + xi * tr;
+#pragma GCC unroll 6
+      for (std::size_t r = 0; r < 6; ++r) {
+        const Lanes row = LoadLanes(&s.row[r][i]);
+        lanes[0][r] += row * yr;
+        lanes[1][r] += row * yi;
+      }
+    }
+    if (h > 0) {
+      // Window m = h - 1 is complete: its first half plus this half, lane by
+      // lane, then the lanes combined as (l0 + l1) + (l2 + l3).
+      double e = 0.0;
+      for (std::size_t r = 0; r < 3; ++r) {
+        double bin = 0.0;
+        for (std::size_t c = 0; c < 2; ++c) {
+          const Lanes w = head[c][r] + lanes[c][3 + r];
+          const double v = static_cast<double>((w[0] + w[1]) + (w[2] + w[3]));
+          bin += v * v;
+        }
+        e += (r == 0 ? 1.0 : 2.0) * bin;
+      }
+      // A non-finite sample makes its windows non-finite: keep the channel,
+      // whose front end maps such power to 0 and may decode around it.
+      if (!std::isfinite(e)) return true;
+      const std::size_t m = h - 1;
+      energy[m % kScreenGroup] = e;
+      if (m + 1 >= kScreenGroup) {
+        // The stretch of windows m-3..m less its strongest one (the oldest
+        // of equals); the other three are summed oldest first.
+        const std::size_t first = m + 1 - kScreenGroup;
+        std::size_t top = first;
+        for (std::size_t j = first + 1; j <= m; ++j) {
+          if (energy[j % kScreenGroup] > energy[top % kScreenGroup]) top = j;
+        }
+        double stretch = 0.0;
+        for (std::size_t j = first; j <= m; ++j) {
+          if (j != top) stretch += energy[j % kScreenGroup];
+        }
+        if (stretch >= limit) return true;
+      }
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::size_t r = 0; r < 3; ++r) head[c][r] = lanes[c][r];
+    }
+  }
+  return false;
 }
 
 }  // namespace rfdump::phybt

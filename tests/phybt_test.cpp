@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "rfdump/dsp/energy.hpp"
 #include "rfdump/dsp/phase.hpp"
 #include "rfdump/dsp/nco.hpp"
+#include "rfdump/emu/ether.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/phybt/demodulator.hpp"
 #include "rfdump/phybt/gfsk.hpp"
@@ -520,6 +523,134 @@ TEST(BtDemod, OutOfBandHopNotCaptured) {
       break;
     }
   }
+}
+
+// ------------------------------------------------------ occupancy screen
+
+/// A noise span of power 1, the floor every screen test configures.
+dsp::SampleVec UnitNoise(std::size_t n, std::uint64_t seed) {
+  dsp::SampleVec x(n);
+  util::Xoshiro256 rng(seed);
+  rfdump::channel::AddAwgn(x, 1.0, rng);
+  return x;
+}
+
+bool OccupiedOn(int idx, dsp::const_sample_span x, double floor) {
+  return bt::GfskChannel(bt::VisibleIndexOffsetHz(idx)).Occupied(x, floor);
+}
+
+TEST(GfskScreen, KeepsEveryL2PingPacketFrom0To15Db) {
+  // l2ping's DH5 packets (225 + seq % 115 payload bytes, one per 5-slot
+  // hop), visible hops only, over unit noise. DESIGN.md §16 has the sweep
+  // the screen's threshold comes from: it passes such spans from about
+  // -7 dB, and the unscreened scanner first decodes one at 2 dB.
+  const bt::DeviceAddress addr{0x2A96EF, 0x47};
+  bt::PacketHeader hdr;
+  hdr.type = bt::PacketType::kDh5;
+  for (int snr_db = 0; snr_db <= 15; ++snr_db) {
+    rfdump::emu::Ether ether({}, static_cast<std::uint64_t>(snr_db) + 40);
+    std::vector<int> channel;
+    std::int64_t t = 2000;
+    for (std::uint32_t seq = 0, clk = 0; channel.size() < 12; ++seq, clk += 5) {
+      const std::vector<std::uint8_t> payload(225 + seq % 115,
+                                              static_cast<std::uint8_t>(seq));
+      const auto burst = bt::ModulatePacket(addr, hdr, payload, clk);
+      if (burst.samples.empty()) continue;
+      ether.AddBurst(burst.samples, t, snr_db, {});
+      channel.push_back(burst.channel - bt::kFirstVisibleChannel);
+      t += static_cast<std::int64_t>(burst.samples.size()) + 5000;
+    }
+    const dsp::SampleVec x = ether.Render(t);
+    for (std::size_t k = 0; k < channel.size(); ++k) {
+      const auto& truth = ether.truth()[k];
+      const std::int64_t a = std::max<std::int64_t>(truth.start_sample - 400, 0);
+      const std::int64_t b = std::min<std::int64_t>(
+          truth.end_sample + 400, static_cast<std::int64_t>(x.size()));
+      const dsp::const_sample_span span(x.data() + a,
+                                        static_cast<std::size_t>(b - a));
+      EXPECT_TRUE(OccupiedOn(channel[k], span, 1.0))
+          << snr_db << " dB, packet " << k << " on channel " << channel[k];
+    }
+  }
+}
+
+TEST(GfskScreen, NoiseOnlySpansFailOnEveryChannel) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const dsp::SampleVec x = UnitNoise(40000, seed);
+    for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+      EXPECT_FALSE(OccupiedOn(idx, x, 1.0)) << "seed " << seed << " ch " << idx;
+    }
+  }
+}
+
+TEST(GfskScreen, NonFiniteWindowKeepsTheChannel) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const dsp::cfloat specials[] = {
+      {std::numeric_limits<float>::quiet_NaN(), 0.0f},
+      {0.0f, std::numeric_limits<float>::quiet_NaN()},
+      {kInf, 0.0f},
+      {-kInf, 1.0f},
+      {0.5f, kInf}};
+  // A special in the first window, in the middle and in the last window; a
+  // running sum would carry the first one's NaN into every later stretch.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{20001},
+                               std::size_t{39990}}) {
+    for (const dsp::cfloat v : specials) {
+      dsp::SampleVec x = UnitNoise(40000, 7);
+      x[at] = v;
+      for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+        EXPECT_TRUE(OccupiedOn(idx, x, 1.0)) << "sample " << at << " ch " << idx;
+      }
+    }
+  }
+}
+
+TEST(GfskScreen, OneWindowOfEnergyIsNotAStretch) {
+  // A click on a half-window boundary lands at n = 16 of one window (w = 1)
+  // and at n = 0 of the next (w = 0): all its energy is in one window, which
+  // the stretch drops. Midway (n = 8 and n = 24, w = 1/2) it is in two.
+  dsp::SampleVec x = UnitNoise(40000, 9);
+  x[16000] = {1000.0f, 0.0f};
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    EXPECT_FALSE(OccupiedOn(idx, x, 1.0)) << "ch " << idx;
+  }
+  std::swap(x[16000], x[16008]);
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    EXPECT_TRUE(OccupiedOn(idx, x, 1.0)) << "ch " << idx;
+  }
+}
+
+TEST(GfskScreen, UnknownFloorOrShortSpanKeepsTheChannel) {
+  const dsp::SampleVec x = UnitNoise(40000, 8);
+  for (int idx = 0; idx < bt::kVisibleChannels; ++idx) {
+    EXPECT_TRUE(OccupiedOn(idx, x, 0.0));
+    EXPECT_TRUE(OccupiedOn(idx, x, -1.0));
+    EXPECT_TRUE(OccupiedOn(idx, dsp::const_sample_span(x).first(79), 1.0));
+    EXPECT_FALSE(OccupiedOn(idx, dsp::const_sample_span(x).first(80), 1.0));
+  }
+}
+
+TEST(GfskScreen, ScreenedChannelsAreCountedAndSkipped) {
+  // One DH5 at 10 dB over unit noise: the scan with a known floor decodes it
+  // on its own channel and does not channelize the seven quiet ones.
+  const bt::DeviceAddress addr{0x2A96EF, 0x47};
+  const auto burst =
+      MakeVisibleBurst(addr, std::vector<std::uint8_t>(120, 0x96), 30);
+  rfdump::emu::Ether ether({}, 9);
+  ether.AddBurst(burst.samples, 3000, 10.0, {});
+  const dsp::SampleVec x = ether.Render(
+      3000 + static_cast<std::int64_t>(burst.samples.size()) + 3000);
+  auto& screened = obs::Registry::Default().GetCounter(
+      "rfdump_phybt_channels_screened_total");
+
+  bt::Demodulator::Config cfg;
+  cfg.noise_floor_power = 1.0;
+  const std::uint64_t before = screened.value();
+  const auto pkts = bt::Demodulator(cfg).DecodeAll(x);
+  ASSERT_EQ(pkts.size(), 1u);
+  EXPECT_EQ(pkts[0].channel_index, burst.channel - bt::kFirstVisibleChannel);
+  EXPECT_TRUE(pkts[0].packet.crc_ok);
+  EXPECT_EQ(screened.value() - before, RFDUMP_OBS_ENABLED ? 7u : 0u);
 }
 
 }  // namespace

@@ -17,9 +17,11 @@ BENCHMARK.json's run_seconds.
 
 For every metric BENCHMARK.json lists (end_to_end with --trace 0, per_layer
 with --trace 1) it prints each pair, both medians, how many pairs the
-change won and the parent's interquartile range. A metric whose parent IQR
-exceeds its bound is marked unresolved, whatever its medians say: the runs
-spread too widely to tell.
+change won and the parent's interquartile range. A metric is marked GAIN
+when the change won at least nine tenths of the pairs (a tie counts for
+neither side) and its median is better than the parent's by more than the
+parent IQR. Otherwise a metric whose parent IQR exceeds its bound is marked
+unresolved, whatever its medians say: the runs spread too widely to tell.
 
 Exits 1 when a run fails, when recall, precision or the failed-operation
 count differ between the sides in any pair, or when the change's median of
@@ -152,6 +154,8 @@ def main():
         if exact and pv != cv:
             verdict = "DIFFERS"
             bad.append(f"{name} differs between the sides")
+        elif 10 * wins >= 9 * args.pairs and -delta * abs(pm) > q3 - q1:
+            verdict = "GAIN"
         elif bound is not None and pm and (q3 - q1) / abs(pm) > bound:
             verdict = "unresolved (parent spread exceeds its bound)"
         elif bound is not None and delta > bound:
