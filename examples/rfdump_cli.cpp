@@ -56,14 +56,15 @@ void PrintUsage(const char* argv0) {
       "  -r FILE            read IQ samples from FILE\n"
       "  --demo             synthesize a demo ether instead of reading\n"
       "  --arch A           rfdump (default) | naive | energy\n"
-      "  --detectors D      both (default) | timing | phase\n"
+      "  --detectors D      both (default) | timing | phase detector\n"
+      "                     families; anything else exits 2\n"
       "  --protocols LIST   comma-separated protocol bundles to enable\n"
-      "  --simd TIER        force the DSP kernel dispatch tier:\n"
-      "                     scalar|sse2|avx2|auto (default: RFDUMP_SIMD env\n"
-      "                     or CPU detection; all tiers are bit-identical)\n"
       "                     (names from the registry, e.g. wifi,bt,ble;\n"
       "                     unknown names exit 2; default = every bundle\n"
       "                     registered as enabled-by-default)\n"
+      "  --simd TIER        force the DSP kernel dispatch tier:\n"
+      "                     scalar|sse2|avx2|auto (default: RFDUMP_SIMD env\n"
+      "                     or CPU detection; all tiers are bit-identical)\n"
       "  --no-demod         detection stage only\n"
       "  --threads N        analysis worker threads (default 1 = serial;\n"
       "                     0 = one per hardware thread). Results are\n"
@@ -802,6 +803,14 @@ int main(int argc, char** argv) {
       arch = argv[++i];
     } else if (arg == "--detectors" && i + 1 < argc) {
       detectors = argv[++i];
+      if (detectors != "timing" && detectors != "phase" &&
+          detectors != "both") {
+        std::fprintf(stderr,
+                     "error: --detectors: unknown family '%s' (want "
+                     "timing|phase|both)\n",
+                     detectors.c_str());
+        return 2;
+      }
     } else if (arg == "--protocols" && i + 1 < argc) {
       if (!ParseProtocolsFlag(argv[++i], &protocols_mask)) return 2;
       protocols_set = true;

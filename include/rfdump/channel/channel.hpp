@@ -54,7 +54,7 @@ class Multipath {
 void Quantize(rfdump::dsp::sample_span io, unsigned bits, float full_scale);
 
 /// Computes the noise power that yields `snr_db` for a signal of
-/// `signal_power`.
+/// `signal_power`. Test seam: only tests call it.
 [[nodiscard]] double NoisePowerForSnr(double signal_power, double snr_db);
 
 }  // namespace rfdump::channel

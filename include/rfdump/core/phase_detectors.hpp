@@ -37,22 +37,30 @@ struct PhaseInfo {
                                          std::size_t max_samples = 2048,
                                          std::size_t smooth = 1);
 
-/// GFSK / Bluetooth phase detector.
+/// GFSK / Bluetooth phase detector. Stateless: every verdict is a function
+/// of one peak and its samples alone.
 class GfskPhaseDetector {
  public:
-  /// Checks one peak; `samples` is the peak's sample range.
-  [[nodiscard]] std::optional<Detection> OnPeak(const Peak& peak,
-                                                dsp::const_sample_span samples);
+  /// What the phase test finds in a GFSK burst.
+  struct Match {
+    int channel = -1;            // visible-channel index [0, 8)
+    float frac_small_d2 = 0.0f;  // continuous-phase fraction
+  };
 
-  /// Visible-channel index [0, 8) implied by the last accepted peak's
-  /// frequency offset (-1 if none yet).
-  int last_channel() const { return last_channel_; }
+  /// Checks one peak; `samples` is the peak's sample range. Tags exactly
+  /// the peaks Classify() matches.
+  [[nodiscard]] std::optional<Detection> OnPeak(
+      const Peak& peak, dsp::const_sample_span samples) const;
 
- private:
-  int last_channel_ = -1;
+  /// The test behind OnPeak: the burst's channel (from the frequency offset
+  /// its first phase derivative implies) and continuous-phase fraction, or
+  /// nullopt when the peak is no GFSK burst on a visible channel.
+  [[nodiscard]] static std::optional<Match> Classify(
+      const Peak& peak, dsp::const_sample_span samples);
 };
 
-/// 802.11b DBPSK/Barker phase-pattern detector.
+/// 802.11b DBPSK/Barker phase-pattern detector. Stateless apart from its
+/// fixed Config: every verdict is a function of one peak and its samples.
 ///
 /// Scans the burst in 16-symbol windows and tags the prefix that matches the
 /// Barker chipping pattern. A 1/2 Mbps frame matches end to end (Barker
@@ -71,8 +79,8 @@ class DbpskPhaseDetector {
   DbpskPhaseDetector();
   explicit DbpskPhaseDetector(Config config);
 
-  [[nodiscard]] std::optional<Detection> OnPeak(const Peak& peak,
-                                                dsp::const_sample_span samples);
+  [[nodiscard]] std::optional<Detection> OnPeak(
+      const Peak& peak, dsp::const_sample_span samples) const;
 
   /// True when the pattern holds over the whole peak, not just up to the
   /// 512-symbol scan cap. Only meaningful for a peak whose OnPeak tag
@@ -80,8 +88,9 @@ class DbpskPhaseDetector {
   /// scan stopped instead of starting again at the peak start.
   [[nodiscard]] bool MatchesWholePeak(dsp::const_sample_span samples) const;
 
-  /// Correlation score of the first window of the last OnPeak call.
-  float last_score() const { return last_score_; }
+  /// Correlation score of the first window of `samples`, the one OnPeak
+  /// gates on (0 for a burst shorter than three symbols).
+  [[nodiscard]] static float FirstWindowScore(dsp::const_sample_span samples);
 
   /// Best pattern-correlation over the 8 alignments of one window, |sum| of
   /// the aligned products over the sum of their magnitudes.
@@ -95,7 +104,6 @@ class DbpskPhaseDetector {
                                         std::size_t limit) const;
 
   Config config_;
-  float last_score_ = 0.0f;
 };
 
 /// Expected per-sample phase-flip pattern (+1 keep / -1 flip; 0 for the

@@ -29,7 +29,7 @@ class ResultSink;  // core/result_sink.hpp — unified result emission
 /// Slot of the per-stage cost table: the detect stages, then one analysis
 /// slot per protocol id (AnalysisStage()).
 enum class Stage : std::uint8_t {
-  kHealth, kPeak, kEnergy, kTiming, kPhase, kFreq, kCollision,
+  kHealth, kPeak, kEnergy, kTiming, kPhase, kCollision,
   kAnalysis,  // first analysis slot (Protocol::kUnknown)
 };
 inline constexpr std::size_t kStageCount =
@@ -194,10 +194,14 @@ struct DetectOutput {
 class RFDumpPipeline {
  public:
   struct Config {
-    bool timing_detectors = true;   // 802.11 SIFS/DIFS + BT slot timing
-    bool phase_detectors = true;    // DBPSK pattern + GFSK
-    bool freq_detector = false;     // FFT-based BT detector (off by default,
-                                    // like the paper's prototype)
+    /// The two detector families (DESIGN.md §15), switched for every
+    /// enabled bundle alike. Timing: each bundle's on_peaks hook (802.11
+    /// SIFS/DIFS, Bluetooth slots, ZigBee IFS, microwave AC period).
+    bool timing_detectors = true;
+    /// Phase: each bundle's on_peak and claims_peak hooks (802.11b DBPSK
+    /// pattern, Bluetooth and BLE GFSK). Off, the dispatch veto has no
+    /// claims to ask.
+    bool phase_detectors = true;
     /// Collision detection (paper future work): flags peaks whose power
     /// profile steps mid-burst as overlapping transmissions.
     bool collision_detector = false;

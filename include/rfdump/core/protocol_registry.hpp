@@ -59,38 +59,27 @@ struct ProtocolEvent {
   std::uint32_t header = 0;
 };
 
-/// Pipeline-level switches handed to a bundle's detector factory. Each
-/// bundle gates its own hooks on the relevant switches (e.g. the 802.11
-/// bundle builds no timing hook without timing_detectors), which keeps the
-/// pipeline free of per-protocol conditionals. Whether a bundle's factory
-/// runs at all is the bundle mask's decision.
-struct DetectorSetup {
-  bool timing_detectors = true;
-  bool phase_detectors = true;
-  bool freq_detector = false;
-  double noise_floor_power = 1.0;
-};
-
-/// Detector hooks for one protocol, created fresh per Detect() call (the
-/// underlying detectors are stateful across chunks within one call). Any
+/// Detector hooks for one protocol, created fresh per Detect() call. They
+/// come in two families, and the pipeline's timing_detectors and
+/// phase_detectors switches each turn one family off (DESIGN.md §15). Any
 /// hook may be empty.
 struct ProtocolDetectors {
-  /// Batch hook over freshly completed peaks (timing-feature detectors).
+  /// Timing family: a batch hook over each chunk's freshly completed peaks,
+  /// in capture order. Stateful across batches within one Detect() call.
   std::function<std::vector<Detection>(std::span<const Peak>)> on_peaks;
-  /// Per-peak hook over the peak's clamped sample range (phase detectors).
+  /// Phase family: a per-peak hook over the peak's clamped sample range. A
+  /// pure function of that one peak and its samples, so its tags do not
+  /// depend on which peaks it saw before.
   std::function<std::optional<Detection>(const Peak&, dsp::const_sample_span)>
       on_peak;
-  /// Whole-peak claim over a peak's clamped sample range: true when this
-  /// protocol's phase evidence holds over the entire peak. The pipeline asks
-  /// it only about a peak that this bundle's on_peak tag covers to the peak
-  /// end and that carries another protocol's timing tag unconfirmed by that
-  /// protocol's own on_peak; a claimed peak's timing tag is not dispatched
-  /// (DESIGN.md §15, "The dispatch veto").
+  /// Phase family: whole-peak claim over a peak's clamped sample range,
+  /// pure like on_peak. True when this protocol's phase evidence holds over
+  /// the entire peak. The pipeline asks it only about a peak that this
+  /// bundle's on_peak tag covers to the peak end and that carries another
+  /// protocol's timing tag unconfirmed by that protocol's own on_peak; a
+  /// claimed peak's timing tag is not dispatched (DESIGN.md §15, "The
+  /// dispatch veto").
   std::function<bool(dsp::const_sample_span)> claims_peak;
-  /// Per-chunk hook (frequency-domain detectors) plus end-of-capture flush.
-  std::function<std::vector<Detection>(dsp::const_sample_span, std::int64_t)>
-      on_chunk;
-  std::function<std::vector<Detection>()> chunk_flush;
 };
 
 /// How the analysis stage fans an interval tagged with this protocol out
@@ -157,8 +146,9 @@ struct ProtocolBundle {
   /// preserved exactly (microwave timing runs before zigbee timing).
   int detect_rank = 0;
 
-  /// Detector factory for the cheap Detect() stage.
-  std::function<ProtocolDetectors(const DetectorSetup&)> make_detectors;
+  /// Detector factory for the cheap Detect() stage: builds every hook the
+  /// bundle has; the pipeline drops the families its switches turn off.
+  std::function<ProtocolDetectors()> make_detectors;
   /// Fan-out shape of the analysis stage for this protocol's intervals.
   std::function<AnalysisPlan(const AnalysisConfig&)> analysis_plan;
   /// One demodulation unit (invoked units times per interval, possibly

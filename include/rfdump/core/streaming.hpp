@@ -116,7 +116,7 @@ class StreamingMonitor {
     /// CPU-over-real-time budget per block. 0 disables load shedding.
     /// When a block's load exceeds the budget the monitor sheds one stage:
     ///   1: only default-enabled bundles stay in the bundle mask (BLE,
-    ///      ZigBee and microwave go), freq and collision detectors off
+    ///      ZigBee and microwave go), collision detector off
     ///   2: + demodulation only for tags with confidence >= 0.7
     ///   3: + no demodulation at all (detection-only)
     double cpu_budget = 0.0;
@@ -199,7 +199,8 @@ class StreamingMonitor {
 
   /// Adjusts the CPU budget at runtime (operator knob; 0 disables shedding
   /// and immediately restores the full pipeline). In pipelined mode, call
-  /// only while quiescent (before the first Push or after a Flush).
+  /// only while quiescent (before the first Push or after a Flush). Test
+  /// seam: only tests call it.
   void set_cpu_budget(double budget);
 
   /// The supervision layer: breaker states, outcome counts, quarantine.

@@ -182,6 +182,7 @@ class Supervisor {
     stream_offset_.store(offset, std::memory_order_relaxed);
   }
 
+  /// One protocol's breaker. Test seam: only tests call it.
   [[nodiscard]] BreakerState breaker_state(Protocol p) const;
   /// Breakers currently not closed (open or half-open).
   [[nodiscard]] int open_breakers() const;

@@ -1,10 +1,10 @@
 #pragma once
 // Iterative radix-2 FFT.
 //
-// The frequency detector (paper §3.4/§4.6) needs small per-chunk transforms
-// (256-point over 200-sample chunks); the microwave model and tests use larger
-// sizes. A plan object precomputes twiddles and the bit-reversal permutation
-// so the per-chunk cost is a few multiply-adds per sample.
+// The spectrogram (CLI --waterfall) takes small windowed transforms over
+// consecutive slices; the microbenches and tests use other sizes. A plan
+// object precomputes twiddles and the bit-reversal permutation so the
+// per-transform cost is a few multiply-adds per sample.
 
 #include <cstddef>
 #include <vector>

@@ -118,7 +118,7 @@ class FrontEnd {
   /// first, then point events by position).
   const std::vector<FaultRecord>& faults() const { return faults_; }
 
-  /// Fault records of one kind.
+  /// Fault records of one kind. Test seam: only tests call it.
   [[nodiscard]] std::vector<FaultRecord> FaultsOf(FaultKind kind) const;
 
   const Config& config() const { return config_; }

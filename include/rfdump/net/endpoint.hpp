@@ -61,7 +61,8 @@ class SensorEndpoint {
   [[nodiscard]] SensorSession& session() { return session_; }
   [[nodiscard]] Transport* transport() { return transport_.get(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Aggregate of every dead transport's stats plus the live one's.
+  /// Aggregate of every dead transport's stats plus the live one's. Test
+  /// seam: only tests call it.
   [[nodiscard]] Transport::Stats transport_totals() const;
 
  private:

@@ -55,7 +55,6 @@ enum class FrameType : std::uint8_t {
   kGapReport = 18,   // cumulative list of sequence ranges lost by the sensor
 };
 
-[[nodiscard]] const char* FrameTypeName(FrameType type);
 [[nodiscard]] bool IsDataFrame(FrameType type);
 
 /// Fixed-layout frame header (encoded little-endian, 16 bytes):

@@ -44,13 +44,15 @@ class MicrowaveOven {
   double noise_phase_ = 0.0;
 };
 
-/// Continuous-wave (single tone) interferer at a fixed offset.
+/// Continuous-wave (single tone) interferer at a fixed offset. Test seam:
+/// only tests call it.
 [[nodiscard]] dsp::SampleVec GenerateCw(double offset_hz, float amplitude,
                                         std::int64_t start_sample,
                                         std::size_t count);
 
 /// Broadband impulse noise: `count` samples with short random full-band
-/// bursts (e.g. from ignition or bad electronics).
+/// bursts (e.g. from ignition or bad electronics). Test seam: only tests
+/// call it.
 [[nodiscard]] dsp::SampleVec GenerateImpulses(std::size_t count,
                                               double burst_rate_hz,
                                               std::size_t burst_samples,

@@ -52,7 +52,8 @@ class ScenarioBuilder {
 
   // ------------------------------------------------------------ environment
   /// dB added to every traffic op's configured SNR at render time — the
-  /// harness's SNR-sweep knob (one builder, swept offsets).
+  /// harness's SNR-sweep knob (one builder, swept offsets). Test seam: only
+  /// tests call it.
   ScenarioBuilder& SnrOffsetDb(double db);
   /// Idle samples appended after the last burst (default 16'000).
   ScenarioBuilder& TailPadding(std::int64_t samples);
@@ -62,7 +63,8 @@ class ScenarioBuilder {
 
   // ---------------------------------------------------------------- traffic
   /// `at_sample < 0` auto-staggers: the op starts 8'000 samples (1 ms) after
-  /// the scenario's current latest activity.
+  /// the scenario's current latest activity. WifiPing is a test seam: only
+  /// tests call it.
   ScenarioBuilder& WifiPing(traffic::WifiPingConfig cfg = {},
                             std::int64_t at_sample = -1);
   ScenarioBuilder& Microwave(traffic::MicrowaveConfig cfg,

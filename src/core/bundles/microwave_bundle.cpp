@@ -29,7 +29,7 @@ ProtocolBundle MakeMicrowaveBundle() {
   // Between the Bluetooth and ZigBee timing detectors, the historical order.
   b.detect_rank = 2;
 
-  b.make_detectors = [](const DetectorSetup&) {
+  b.make_detectors = [] {
     ProtocolDetectors d;
     auto timing = std::make_shared<MicrowaveTimingDetector>();
     d.on_peaks = [timing](std::span<const Peak> fresh) {

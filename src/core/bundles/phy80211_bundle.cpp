@@ -130,23 +130,19 @@ ProtocolBundle MakeWifiBundle() {
   b.oracle_scored = true;
   b.detect_rank = 0;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [] {
     ProtocolDetectors d;
-    if (setup.timing_detectors) {
-      auto timing = std::make_shared<WifiTimingDetector>();
-      d.on_peaks = [timing](std::span<const Peak> fresh) {
-        return timing->OnPeaks(fresh);
-      };
-    }
-    if (setup.phase_detectors) {
-      auto phase = std::make_shared<DbpskPhaseDetector>();
-      d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
-        return phase->OnPeak(p, span);
-      };
-      d.claims_peak = [phase](dsp::const_sample_span span) {
-        return phase->MatchesWholePeak(span);
-      };
-    }
+    auto timing = std::make_shared<WifiTimingDetector>();
+    d.on_peaks = [timing](std::span<const Peak> fresh) {
+      return timing->OnPeaks(fresh);
+    };
+    const DbpskPhaseDetector phase;
+    d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
+      return phase.OnPeak(p, span);
+    };
+    d.claims_peak = [phase](dsp::const_sample_span span) {
+      return phase.MatchesWholePeak(span);
+    };
     return d;
   };
 

@@ -120,19 +120,16 @@ ProtocolBundle MakeBleBundle() {
   b.oracle_scored = true;
   b.detect_rank = 4;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [] {
     ProtocolDetectors d;
-    if (setup.phase_detectors) {
-      auto phase = std::make_shared<GfskPhaseDetector>();
-      d.on_peak = [phase](const Peak& p, dsp::const_sample_span span)
-          -> std::optional<Detection> {
-        auto tag = phase->OnPeak(p, span);
-        if (!tag) return std::nullopt;
-        tag->protocol = Protocol::kBleAdv;
-        tag->detector = "ble-gfsk";
-        return tag;
-      };
-    }
+    d.on_peak = [](const Peak& p, dsp::const_sample_span span)
+        -> std::optional<Detection> {
+      auto tag = GfskPhaseDetector().OnPeak(p, span);
+      if (!tag) return std::nullopt;
+      tag->protocol = Protocol::kBleAdv;
+      tag->detector = "ble-gfsk";
+      return tag;
+    };
     return d;
   };
 

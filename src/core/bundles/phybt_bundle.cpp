@@ -1,13 +1,12 @@
-// Bluetooth BR protocol bundle (DESIGN.md §15): slot-timing + GFSK phase +
-// optional FFT frequency detectors, the per-visible-channel demodulator fan
-// out, the canned l2ping scenario op and the packet fuzz target.
+// Bluetooth BR protocol bundle (DESIGN.md §15): slot-timing and GFSK phase
+// detectors, the per-visible-channel demodulator fan out, the canned l2ping
+// scenario op and the packet fuzz target.
 //
 // rfdump-bundle-cli: bt   (scanned by tests/CMakeLists.txt to derive the
 // per-protocol ctest labels — keep in sync with cli_name below)
 
 #include <cstdio>
 
-#include "rfdump/core/freq_detector.hpp"
 #include "rfdump/core/fuzz_io.hpp"
 #include "rfdump/core/phase_detectors.hpp"
 #include "rfdump/core/pipeline.hpp"
@@ -155,29 +154,15 @@ ProtocolBundle MakeBtBundle() {
   b.oracle_scored = true;
   b.detect_rank = 1;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [] {
     ProtocolDetectors d;
-    if (setup.timing_detectors) {
-      auto timing = std::make_shared<BluetoothTimingDetector>();
-      d.on_peaks = [timing](std::span<const Peak> fresh) {
-        return timing->OnPeaks(fresh);
-      };
-    }
-    if (setup.phase_detectors) {
-      auto phase = std::make_shared<GfskPhaseDetector>();
-      d.on_peak = [phase](const Peak& p, dsp::const_sample_span span) {
-        return phase->OnPeak(p, span);
-      };
-    }
-    if (setup.freq_detector) {
-      BluetoothFreqDetector::Config fc;
-      fc.noise_floor_power = setup.noise_floor_power;
-      auto freq = std::make_shared<BluetoothFreqDetector>(fc);
-      d.on_chunk = [freq](dsp::const_sample_span chunk, std::int64_t at) {
-        return freq->PushChunk(chunk, at);
-      };
-      d.chunk_flush = [freq] { return freq->Flush(); };
-    }
+    auto timing = std::make_shared<BluetoothTimingDetector>();
+    d.on_peaks = [timing](std::span<const Peak> fresh) {
+      return timing->OnPeaks(fresh);
+    };
+    d.on_peak = [](const Peak& p, dsp::const_sample_span span) {
+      return GfskPhaseDetector().OnPeak(p, span);
+    };
     return d;
   };
 

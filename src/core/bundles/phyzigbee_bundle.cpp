@@ -92,7 +92,7 @@ ProtocolBundle MakeZigbeeBundle() {
   // detector before the ZigBee one.
   b.detect_rank = 3;
 
-  b.make_detectors = [](const DetectorSetup&) {
+  b.make_detectors = [] {
     ProtocolDetectors d;
     auto timing = std::make_shared<ZigbeeTimingDetector>();
     d.on_peaks = [timing](std::span<const Peak> fresh) {

@@ -106,13 +106,8 @@ PhaseInfo ComputePhaseInfo(dsp::const_sample_span x, std::size_t max_samples,
 
 // --------------------------------------------------------------------- GFSK
 
-std::optional<Detection> GfskPhaseDetector::OnPeak(
+std::optional<GfskPhaseDetector::Match> GfskPhaseDetector::Classify(
     const Peak& peak, dsp::const_sample_span samples) {
-  static obs::Counter& c_examined = obs::LabeledCounter(
-      "rfdump_detect_peaks_examined_total", "detector", "gfsk-phase");
-  static obs::Counter& c_tags =
-      obs::LabeledCounter("rfdump_detect_tags_total", "detector", "gfsk-phase");
-  c_examined.Inc();
   if (dsp::SamplesToMicros(peak.length()) > kGfskMaxBurstUs) {
     return std::nullopt;
   }
@@ -130,11 +125,21 @@ std::optional<Detection> GfskPhaseDetector::OnPeak(
   const int channel = static_cast<int>(
       std::lround((freq + 3.5e6) / phybt::kChannelWidthHz));
   if (channel < 0 || channel >= phybt::kVisibleChannels) return std::nullopt;
-  last_channel_ = channel;
-  const float confidence = std::min(1.0f, info.frac_small_d2);
+  return Match{channel, info.frac_small_d2};
+}
+
+std::optional<Detection> GfskPhaseDetector::OnPeak(
+    const Peak& peak, dsp::const_sample_span samples) const {
+  static obs::Counter& c_examined = obs::LabeledCounter(
+      "rfdump_detect_peaks_examined_total", "detector", "gfsk-phase");
+  static obs::Counter& c_tags =
+      obs::LabeledCounter("rfdump_detect_tags_total", "detector", "gfsk-phase");
+  c_examined.Inc();
+  const auto match = Classify(peak, samples);
+  if (!match) return std::nullopt;
   c_tags.Inc();
   return Detection{Protocol::kBluetooth, peak.start_sample, peak.end_sample,
-                   confidence, "gfsk-phase"};
+                   std::min(1.0f, match->frac_small_d2), "gfsk-phase"};
 }
 
 // -------------------------------------------------------------------- DBPSK
@@ -215,24 +220,26 @@ std::size_t DbpskPhaseDetector::ExtendMatch(dsp::const_sample_span samples,
   return matched_end;
 }
 
+float DbpskPhaseDetector::FirstWindowScore(dsp::const_sample_span samples) {
+  if (samples.size() < 3 * 8) return 0.0f;
+  return WindowScore(
+      samples.first(std::min(kDbpskWindowSymbols * 8, samples.size())));
+}
+
 std::optional<Detection> DbpskPhaseDetector::OnPeak(
-    const Peak& peak, dsp::const_sample_span samples) {
+    const Peak& peak, dsp::const_sample_span samples) const {
   static obs::Counter& c_examined = obs::LabeledCounter(
       "rfdump_detect_peaks_examined_total", "detector", "dbpsk-phase");
   static obs::Counter& c_tags = obs::LabeledCounter(
       "rfdump_detect_tags_total", "detector", "dbpsk-phase");
   c_examined.Inc();
-  const std::size_t win = kDbpskWindowSymbols * 8;
-  if (samples.size() < 3 * 8) {
-    last_score_ = 0.0f;
-    return std::nullopt;
-  }
   // First window decides whether this burst is Barker-chipped at all.
-  last_score_ = WindowScore(samples.first(std::min(win, samples.size())));
-  if (last_score_ < kDbpskThreshold) return std::nullopt;
+  const float score = FirstWindowScore(samples);
+  if (score < kDbpskThreshold) return std::nullopt;
   // Prefix scan: extend while successive windows keep matching. A burst that
   // still matches at the scan cap is Barker end-to-end (1/2 Mbps) and is
   // tagged whole without examining the remainder.
+  const std::size_t win = kDbpskWindowSymbols * 8;
   const std::size_t cap =
       std::min(samples.size(), kDbpskMaxScanSymbols * 8);
   const std::size_t matched_end =
@@ -243,7 +250,7 @@ std::optional<Detection> DbpskPhaseDetector::OnPeak(
                                  static_cast<std::int64_t>(matched_end);
   c_tags.Inc();
   return Detection{Protocol::kWifi80211b, peak.start_sample, end,
-                   std::min(1.0f, last_score_), "dbpsk-phase"};
+                   std::min(1.0f, score), "dbpsk-phase"};
 }
 
 bool DbpskPhaseDetector::MatchesWholePeak(

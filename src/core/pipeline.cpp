@@ -337,14 +337,21 @@ class DispatchVeto {
 };
 
 /// Instantiates detector hooks for every mask-enabled bundle, ordered by
-/// detect_rank (the historical detector call order).
+/// detect_rank (the historical detector call order), minus the families the
+/// switches turn off.
 std::vector<ActiveDetectors> MakeActiveDetectors(std::uint32_t bundle_mask,
-                                                 const DetectorSetup& setup) {
+                                                 bool timing, bool phase) {
   std::vector<ActiveDetectors> active;
   for (const auto& bundle : ProtocolRegistry::Instance().bundles()) {
     if ((bundle_mask & BundleBit(bundle.protocol)) == 0) continue;
     if (!bundle.make_detectors) continue;
-    active.push_back({&bundle, bundle.make_detectors(setup)});
+    ProtocolDetectors hooks = bundle.make_detectors();
+    if (!timing) hooks.on_peaks = nullptr;
+    if (!phase) {
+      hooks.on_peak = nullptr;
+      hooks.claims_peak = nullptr;
+    }
+    active.push_back({&bundle, std::move(hooks)});
   }
   std::stable_sort(active.begin(), active.end(),
                    [](const ActiveDetectors& a, const ActiveDetectors& b) {
@@ -359,8 +366,8 @@ const char* StageName(Stage s) {
   // Built once; span names must outlive the tracer.
   static const auto kNames = [] {
     std::array<std::string, kStageCount> names = {
-        "detect/health", "detect/peak", "detect/energy",   "detect/timing",
-        "detect/phase",  "detect/freq", "detect/collision"};
+        "detect/health", "detect/peak",  "detect/energy",
+        "detect/timing", "detect/phase", "detect/collision"};
     for (std::size_t id = 0; id < kProtocolCount; ++id) {
       const auto p = static_cast<Protocol>(id);
       const ProtocolBundle* b = ProtocolRegistry::Instance().Find(p);
@@ -453,13 +460,8 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   pd_cfg.noise_floor_power = config_.noise_floor_power;
   PeakDetector peaks(pd_cfg);
 
-  DetectorSetup setup;
-  setup.timing_detectors = config_.timing_detectors;
-  setup.phase_detectors = config_.phase_detectors;
-  setup.freq_detector = config_.freq_detector;
-  setup.noise_floor_power = config_.noise_floor_power;
-  std::vector<ActiveDetectors> active =
-      MakeActiveDetectors(config_.bundle_mask, setup);
+  std::vector<ActiveDetectors> active = MakeActiveDetectors(
+      config_.bundle_mask, config_.timing_detectors, config_.phase_detectors);
   bool any_on_peak = false;
   for (const auto& a : active) {
     if (a.hooks.on_peak) any_on_peak = true;
@@ -542,22 +544,14 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
 
   for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
     const std::size_t n = std::min(kChunkSamples, x.size() - at);
-    const auto chunk = x.subspan(at, n);
     std::span<const Peak> fresh;
     {
       StageScope scope(costs, Stage::kPeak, n);
       fresh = peaks
-                  .PushChunk(chunk,
+                  .PushChunk(x.subspan(at, n),
                              std::span<const float>(plane).subspan(at, n),
                              static_cast<std::int64_t>(at))
                   .completed;
-    }
-    for (auto& a : active) {
-      if (!a.hooks.on_chunk) continue;
-      StageScope scope(costs, Stage::kFreq, n);
-      auto d = a.hooks.on_chunk(chunk, static_cast<std::int64_t>(at));
-      detections.insert(detections.end(), d.begin(), d.end());
-      mark(TagHook::kOther);
     }
     handle_peaks(fresh);
   }
@@ -567,13 +561,6 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     last = peaks.Flush();
   }
   handle_peaks(last);
-  for (auto& a : active) {
-    if (!a.hooks.chunk_flush) continue;
-    StageScope scope(costs, Stage::kFreq, 0);
-    auto d = a.hooks.chunk_flush();
-    detections.insert(detections.end(), d.begin(), d.end());
-    mark(TagHook::kOther);
-  }
 
   // Stage 2: dispatch — merge detections per protocol and analyze only those
   // sample ranges. Under load shedding, low-confidence tags stay in the

@@ -283,7 +283,6 @@ void StreamingMonitor::ApplyShedStage() {
   if (stage >= 1) {
     // Optional = not default-enabled: only the default bundles stay.
     cfg.bundle_mask &= DefaultBundleMask();
-    cfg.freq_detector = false;
     cfg.collision_detector = false;
   }
   if (stage >= 2) {

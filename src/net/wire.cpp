@@ -57,19 +57,6 @@ bool KnownType(std::uint8_t t) {
 
 }  // namespace
 
-const char* FrameTypeName(FrameType type) {
-  switch (type) {
-    case FrameType::kHello: return "hello";
-    case FrameType::kHeartbeat: return "heartbeat";
-    case FrameType::kAck: return "ack";
-    case FrameType::kMetrics: return "metrics";
-    case FrameType::kEventBatch: return "event-batch";
-    case FrameType::kHealth: return "health";
-    case FrameType::kGapReport: return "gap-report";
-  }
-  return "?";
-}
-
 bool IsDataFrame(FrameType type) {
   return static_cast<std::uint8_t>(type) >= 16;
 }

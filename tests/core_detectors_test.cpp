@@ -1,10 +1,9 @@
 // Protocol-specific detector tests: timing detectors on synthetic peak
-// streams, phase detectors on real modulated bursts, frequency detector.
+// streams, phase detectors on real modulated bursts.
 
 #include <gtest/gtest.h>
 
 #include "rfdump/channel/channel.hpp"
-#include "rfdump/core/freq_detector.hpp"
 #include "rfdump/core/phase_detectors.hpp"
 #include "rfdump/core/timing_detectors.hpp"
 #include "rfdump/dsp/db.hpp"
@@ -223,20 +222,20 @@ dsp::SampleVec BtBurstAtChannel(int vis_idx, double snr_db,
 }
 
 TEST(DbpskPhase, DetectsWifiRejectsBluetooth) {
-  core::DbpskPhaseDetector det;
+  const core::DbpskPhaseDetector det;
   const auto wifi = WifiBurst(25.0, 42);
   const auto p1 = MakePeak(0, static_cast<std::int64_t>(wifi.size()));
   ASSERT_TRUE(det.OnPeak(p1, wifi).has_value());
-  const float wifi_score = det.last_score();
 
   const auto btb = BtBurstAtChannel(3, 25.0, 43);
   const auto p2 = MakePeak(0, static_cast<std::int64_t>(btb.size()));
   EXPECT_FALSE(det.OnPeak(p2, btb).has_value());
-  EXPECT_GT(wifi_score, det.last_score());
+  EXPECT_GT(core::DbpskPhaseDetector::FirstWindowScore(wifi),
+            core::DbpskPhaseDetector::FirstWindowScore(btb));
 }
 
 TEST(DbpskPhase, DetectsAcrossHighSnrs) {
-  core::DbpskPhaseDetector det;
+  const core::DbpskPhaseDetector det;
   for (double snr : {12.0, 15.0, 20.0, 30.0}) {
     const auto burst = WifiBurst(snr, 100 + static_cast<int>(snr));
     const auto p = MakePeak(0, static_cast<std::int64_t>(burst.size()));
@@ -245,7 +244,7 @@ TEST(DbpskPhase, DetectsAcrossHighSnrs) {
 }
 
 TEST(DbpskPhase, RejectsNoise) {
-  core::DbpskPhaseDetector det;
+  const core::DbpskPhaseDetector det;
   Xoshiro256 rng(77);
   dsp::SampleVec noise(4000);
   rfdump::channel::AddAwgn(noise, 10.0, rng);
@@ -267,13 +266,13 @@ TEST(DbpskPhase, PatternHasExpectedStructure) {
 }
 
 TEST(GfskPhase, DetectsBluetoothRejectsWifi) {
-  core::GfskPhaseDetector det;
+  const core::GfskPhaseDetector det;
   const auto btb = BtBurstAtChannel(5, 25.0, 50);
   const auto p1 = MakePeak(0, static_cast<std::int64_t>(btb.size()));
   const auto d = det.OnPeak(p1, btb);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->protocol, core::Protocol::kBluetooth);
-  EXPECT_EQ(det.last_channel(), 5);
+  EXPECT_EQ(core::GfskPhaseDetector::Classify(p1, btb)->channel, 5);
 
   const auto wifi = WifiBurst(25.0, 51);
   const auto p2 = MakePeak(0, static_cast<std::int64_t>(wifi.size()));
@@ -281,17 +280,17 @@ TEST(GfskPhase, DetectsBluetoothRejectsWifi) {
 }
 
 TEST(GfskPhase, ChannelIdentifiedFromFrequencyOffset) {
-  core::GfskPhaseDetector det;
+  const core::GfskPhaseDetector det;
   for (int ch : {0, 2, 4, 7}) {
     const auto burst = BtBurstAtChannel(ch, 30.0, 60 + ch);
     const auto p = MakePeak(0, static_cast<std::int64_t>(burst.size()));
     ASSERT_TRUE(det.OnPeak(p, burst).has_value()) << "ch " << ch;
-    EXPECT_EQ(det.last_channel(), ch);
+    EXPECT_EQ(core::GfskPhaseDetector::Classify(p, burst)->channel, ch);
   }
 }
 
 TEST(GfskPhase, RejectsNoise) {
-  core::GfskPhaseDetector det;
+  const core::GfskPhaseDetector det;
   Xoshiro256 rng(70);
   dsp::SampleVec noise(4000);
   rfdump::channel::AddAwgn(noise, 10.0, rng);
@@ -318,52 +317,6 @@ TEST(PskOrderClassifier, SeparatesBpskFromQpsk) {
   };
   EXPECT_EQ(core::ClassifyPskOrder(make_psk(2), sps), 2);
   EXPECT_EQ(core::ClassifyPskOrder(make_psk(4), sps), 4);
-}
-
-// --------------------------------------------------------------- frequency
-
-TEST(BtFreq, SingleChannelBurstDetected) {
-  core::BluetoothFreqDetector det;
-  const auto burst = BtBurstAtChannel(2, 25.0, 90);
-  // Surround with noise.
-  Xoshiro256 rng(91);
-  dsp::SampleVec x(4000);
-  rfdump::channel::AddAwgn(x, 1.0, rng);
-  x.insert(x.end(), burst.begin(), burst.end());
-  dsp::SampleVec tail(4000);
-  rfdump::channel::AddAwgn(tail, 1.0, rng);
-  x.insert(x.end(), tail.begin(), tail.end());
-
-  std::vector<core::Detection> all;
-  for (std::size_t at = 0; at + core::kChunkSamples <= x.size();
-       at += core::kChunkSamples) {
-    auto d = det.PushChunk(
-        dsp::const_sample_span(x).subspan(at, core::kChunkSamples),
-        static_cast<std::int64_t>(at));
-    all.insert(all.end(), d.begin(), d.end());
-  }
-  auto d = det.Flush();
-  all.insert(all.end(), d.begin(), d.end());
-  ASSERT_GE(all.size(), 1u);
-  EXPECT_EQ(all[0].protocol, core::Protocol::kBluetooth);
-  EXPECT_EQ(det.last_channel(), 2);
-  EXPECT_NEAR(static_cast<double>(all[0].start_sample), 4000.0, 400.0);
-}
-
-TEST(BtFreq, WidebandWifiNotSingleChannel) {
-  core::BluetoothFreqDetector det;
-  const auto wifi = WifiBurst(25.0, 92);
-  std::vector<core::Detection> all;
-  for (std::size_t at = 0; at + core::kChunkSamples <= wifi.size();
-       at += core::kChunkSamples) {
-    auto d = det.PushChunk(
-        dsp::const_sample_span(wifi).subspan(at, core::kChunkSamples),
-        static_cast<std::int64_t>(at));
-    all.insert(all.end(), d.begin(), d.end());
-  }
-  auto d = det.Flush();
-  all.insert(all.end(), d.begin(), d.end());
-  EXPECT_TRUE(all.empty());
 }
 
 // ------------------------------------------------------------- detections

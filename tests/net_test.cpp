@@ -939,7 +939,6 @@ TEST(Messages, TraceContextRoundTripsOnAllDataMessages) {
 
 TEST(Wire, MetricsFrameIsUnsequencedControlPlane) {
   EXPECT_FALSE(net::IsDataFrame(net::FrameType::kMetrics));
-  EXPECT_STREQ(net::FrameTypeName(net::FrameType::kMetrics), "metrics");
   net::FrameHeader h;
   h.type = net::FrameType::kMetrics;
   h.sensor_id = 5;
