@@ -59,15 +59,11 @@ class PeakDetector {
   PeakDetector();
   explicit PeakDetector(Config config);
 
-  /// Processes one chunk beginning at absolute sample `start_sample`.
-  /// Chunks must be fed in order. Returns the peaks the chunk finished.
+  /// Processes one chunk beginning at absolute sample `start_sample`: fills
+  /// the detector's own power plane (FinitePower per sample) for the chunk,
+  /// then runs the gate and the per-sample pass over it. Chunks must be fed
+  /// in order. Returns the peaks the chunk finished.
   ChunkMeta PushChunk(dsp::const_sample_span chunk, std::int64_t start_sample);
-
-  /// Same, with the chunk's power plane (FinitePower per sample) already
-  /// computed — the block pipeline computes it once per chunk and shares it.
-  /// `power.size()` must equal `chunk.size()`.
-  ChunkMeta PushChunk(dsp::const_sample_span chunk,
-                      std::span<const float> power, std::int64_t start_sample);
 
   /// Closes any open peak at end of stream and returns it (empty if none
   /// was open); valid until the next PushChunk or Flush.
@@ -91,7 +87,8 @@ class PeakDetector {
   std::int64_t last_strong_ = -1;  // last sample clearly above the gate
   std::int64_t last_sample_ = 0;   // last absolute sample index processed
   std::vector<Peak> completed_;  // peaks finished by the current call
-  std::vector<float> plane_;     // reusable per-chunk power plane
+  std::vector<float> plane_;     // the current chunk's power plane; the only
+                                 // copy of |x|^2 the detect stage keeps
 };
 
 /// Every peak of `x`, fed in kChunkSamples chunks from sample 0 and flushed,

@@ -34,12 +34,10 @@ class MovingAveragePower {
 
   std::size_t window() const { return window_; }
 
-  /// Pushes one sample, returns the current windowed average power. Until the
-  /// window fills, the average is over the samples seen so far.
-  float Push(cfloat sample);
-
-  /// Same, for a power value precomputed with FinitePower (the SIMD pipeline
-  /// computes a whole block's power plane once and feeds it here).
+  /// Pushes one sample's power (FinitePower of the sample; the peak detector
+  /// feeds its per-chunk power plane here) and returns the current windowed
+  /// average power. Until the window fills, the average is over the samples
+  /// seen so far.
   float Push(float power);
 
   /// Pushes every value of `io` in order, replacing each with the average

@@ -1,7 +1,7 @@
 #pragma once
 // Non-protocol RF sources sharing the 2.4 GHz band: the residential microwave
 // oven the paper's Table 2 lists (constant-envelope sweep keyed to the AC
-// cycle), plus generic CW and impulse interferers used for robustness tests.
+// cycle).
 
 #include <cstdint>
 
@@ -43,20 +43,5 @@ class MicrowaveOven {
   util::Xoshiro256 rng_;
   double noise_phase_ = 0.0;
 };
-
-/// Continuous-wave (single tone) interferer at a fixed offset. Test seam:
-/// only tests call it.
-[[nodiscard]] dsp::SampleVec GenerateCw(double offset_hz, float amplitude,
-                                        std::int64_t start_sample,
-                                        std::size_t count);
-
-/// Broadband impulse noise: `count` samples with short random full-band
-/// bursts (e.g. from ignition or bad electronics). Test seam: only tests
-/// call it.
-[[nodiscard]] dsp::SampleVec GenerateImpulses(std::size_t count,
-                                              double burst_rate_hz,
-                                              std::size_t burst_samples,
-                                              float amplitude,
-                                              util::Xoshiro256& rng);
 
 }  // namespace rfdump::rfsources

@@ -1,11 +1,12 @@
 #pragma once
 // Thread-local scratch arena for hot-path work buffers.
 //
-// The block pipeline and the per-channel BT/BLE scans need short-lived
-// vectors (power planes, channelized samples, discriminator output) on every
-// block; allocating them per call dominated the malloc profile. A scratch
-// buffer is keyed by (element type, tag type) and lives for the thread, so
-// steady-state processing reuses one allocation per buffer.
+// The demodulators (the per-channel BT/BLE scans, the 802.11 resampler, the
+// ZigBee receiver) need short-lived vectors (channelized samples, the GFSK
+// channel's power track, discriminator output) on every call; allocating
+// them per call dominated the malloc profile. A scratch buffer is keyed by
+// (element type, tag type) and lives for the thread, so steady-state
+// processing reuses one allocation per buffer.
 //
 // Rules: a caller must finish with a buffer before anything else that could
 // use the same key runs on this thread (no reentrancy, no holding across

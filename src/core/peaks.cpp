@@ -47,12 +47,6 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
   // per-sample consumer below reads the plane instead of recomputing |x|^2.
   plane_.resize(chunk.size());
   dsp::simd::Active().power_plane(chunk.data(), chunk.size(), plane_.data());
-  return PushChunk(chunk, std::span<const float>(plane_), start_sample);
-}
-
-ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
-                                  std::span<const float> power,
-                                  std::int64_t start_sample) {
   completed_.clear();
   ChunkMetrics::Get().chunks.Inc();
 
@@ -64,7 +58,7 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
   const std::size_t w = std::min(config_.averaging_window, chunk.size());
   double tail_power = 0.0;
   for (std::size_t i = chunk.size() - w; i < chunk.size(); ++i) {
-    tail_power += power[i];
+    tail_power += plane_[i];
   }
   tail_power = (w > 0) ? tail_power / static_cast<double>(w) : 0.0;
 
@@ -76,7 +70,7 @@ ChunkMeta PeakDetector::PushChunk(dsp::const_sample_span chunk,
     return {.completed = {}, .gated_out = true};
   }
 
-  ProcessSamples(power, start_sample);
+  ProcessSamples(plane_, start_sample);
   return {.completed = completed_};
 }
 

@@ -13,7 +13,6 @@
 #include "rfdump/core/result_sink.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
-#include "rfdump/util/scratch.hpp"
 
 namespace rfdump::core {
 namespace {
@@ -531,26 +530,12 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     }
   };
 
-  // Deinterleave |x|^2 once for the whole block (SoA power plane); the peak
-  // detector's per-sample stage reads the plane instead of touching I/Q.
-  // Charged to detect/peak with 0 samples: the chunks below count them.
-  struct DetectPlaneTag {};
-  auto& plane = util::Scratch<float, DetectPlaneTag>();
-  {
-    StageScope scope(costs, Stage::kPeak, 0);
-    plane.resize(x.size());
-    dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
-  }
-
   for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
     const std::size_t n = std::min(kChunkSamples, x.size() - at);
     std::span<const Peak> fresh;
     {
       StageScope scope(costs, Stage::kPeak, n);
-      fresh = peaks
-                  .PushChunk(x.subspan(at, n),
-                             std::span<const float>(plane).subspan(at, n),
-                             static_cast<std::int64_t>(at))
+      fresh = peaks.PushChunk(x.subspan(at, n), static_cast<std::int64_t>(at))
                   .completed;
     }
     handle_peaks(fresh);

@@ -27,10 +27,6 @@ void MovingAveragePower::Reset() {
   pushes_since_rebuild_ = 0;
 }
 
-float MovingAveragePower::Push(cfloat sample) {
-  return Push(FinitePower(sample));
-}
-
 namespace {
 
 // One push on explicit state, returning the new average. Push() runs it on

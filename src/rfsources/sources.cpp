@@ -42,39 +42,4 @@ dsp::SampleVec MicrowaveOven::Generate(std::int64_t start_sample,
   return out;
 }
 
-dsp::SampleVec GenerateCw(double offset_hz, float amplitude,
-                          std::int64_t start_sample, std::size_t count) {
-  dsp::SampleVec out(count);
-  const double step = 2.0 * std::numbers::pi * offset_hz / dsp::kSampleRateHz;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double phase =
-        step * static_cast<double>(start_sample + static_cast<std::int64_t>(i));
-    out[i] = amplitude * cfloat(static_cast<float>(std::cos(phase)),
-                                static_cast<float>(std::sin(phase)));
-  }
-  return out;
-}
-
-dsp::SampleVec GenerateImpulses(std::size_t count, double burst_rate_hz,
-                                std::size_t burst_samples, float amplitude,
-                                util::Xoshiro256& rng) {
-  dsp::SampleVec out(count, cfloat{0.0f, 0.0f});
-  const double p_start =
-      burst_rate_hz / dsp::kSampleRateHz;  // per-sample burst start probability
-  std::size_t i = 0;
-  while (i < count) {
-    if (rng.UniformDouble() < p_start) {
-      for (std::size_t k = 0; k < burst_samples && i + k < count; ++k) {
-        out[i + k] = amplitude *
-                     cfloat(static_cast<float>(rng.Gaussian()),
-                            static_cast<float>(rng.Gaussian()));
-      }
-      i += burst_samples;
-    } else {
-      ++i;
-    }
-  }
-  return out;
-}
-
 }  // namespace rfdump::rfsources

@@ -1,10 +1,12 @@
 // Peak detector tests: gating, boundary precision, merging, delivery.
 
+#include <bit>
 #include <gtest/gtest.h>
 
 #include "rfdump/channel/channel.hpp"
 #include "rfdump/core/peaks.hpp"
 #include "rfdump/dsp/db.hpp"
+#include "rfdump/testing/scenario.hpp"
 #include "rfdump/util/rng.hpp"
 
 namespace core = rfdump::core;
@@ -164,6 +166,54 @@ TEST(PeakDetector, DeliversEveryPeakOfALongCapture) {
     EXPECT_EQ(streamed[i].mean_power, peaks[i].mean_power) << i;
     EXPECT_EQ(streamed[i].peak_power, peaks[i].peak_power) << i;
   }
+}
+
+/// 64-bit FNV-1a over every peak's start, end and the bit patterns of its
+/// peak and mean power, in list order.
+std::uint64_t HashPeaks(const std::vector<core::Peak>& peaks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b, v >>= 8) {
+      h ^= v & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& p : peaks) {
+    mix(static_cast<std::uint64_t>(p.start_sample));
+    mix(static_cast<std::uint64_t>(p.end_sample));
+    mix(std::bit_cast<std::uint32_t>(p.peak_power));
+    mix(std::bit_cast<std::uint32_t>(p.mean_power));
+  }
+  return h;
+}
+
+TEST(PeakDetector, PeakListIsPinnedBitForBit) {
+  // The expected hashes were computed at the parent of the commit that made
+  // the detector's per-chunk plane the detect stage's only power plane (the
+  // same on the scalar and the best SIMD tier). Any change to the peak
+  // list, down to the last bit of a power, shows here first.
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  for (const Case c : {Case{1, 0xd2f68d27b6ea4b7eull},
+                       Case{2, 0xefcf1e6762fdc318ull},
+                       Case{3, 0xee01dec1f716a12aull}}) {
+    const auto x = rfdump::testing::CannedMixedScenario(c.seed).samples;
+    const std::uint64_t h = HashPeaks(core::DetectPeaks(x));
+    EXPECT_EQ(h, c.hash) << "seed " << c.seed << " hash 0x" << std::hex << h;
+  }
+
+  // A capture that stops inside a burst, at a length that is not a whole
+  // number of chunks: the partial last chunk and Flush close the open peak.
+  const auto x = MakeStream(30123, {{10000, 4000}, {29000, 5000}}, 100.0,
+                            1.0, 10);
+  ASSERT_NE(x.size() % core::kChunkSamples, 0u);
+  const auto peaks = core::DetectPeaks(x);
+  ASSERT_EQ(peaks.size(), 2u);
+  EXPECT_EQ(peaks.back().end_sample, static_cast<std::int64_t>(x.size()));
+  const std::uint64_t h = HashPeaks(peaks);
+  EXPECT_EQ(h, 0x69f8610a0b22cfdbull) << "hash 0x" << std::hex << h;
 }
 
 TEST(PeakDetector, GatePowerMatchesConfig) {

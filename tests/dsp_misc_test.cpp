@@ -410,7 +410,9 @@ TEST(Energy, MeanAndTotal) {
 
 TEST(Energy, MovingAverageConverges) {
   dsp::MovingAveragePower ma(20);
-  for (int i = 0; i < 100; ++i) ma.Push({2.0f, 0.0f});  // power 4
+  for (int i = 0; i < 100; ++i) {
+    ma.Push(dsp::FinitePower({2.0f, 0.0f}));  // power 4
+  }
   EXPECT_NEAR(ma.Average(), 4.0f, 1e-5f);
   EXPECT_EQ(ma.Count(), 20u);
 }
@@ -418,16 +420,16 @@ TEST(Energy, MovingAverageConverges) {
 TEST(Energy, MovingAveragePartialWindow) {
   dsp::MovingAveragePower ma(10);
   EXPECT_EQ(ma.Average(), 0.0f);
-  ma.Push({1.0f, 0.0f});
+  ma.Push(dsp::FinitePower({1.0f, 0.0f}));
   EXPECT_NEAR(ma.Average(), 1.0f, 1e-6f);
-  ma.Push({0.0f, 0.0f});
+  ma.Push(dsp::FinitePower({0.0f, 0.0f}));
   EXPECT_NEAR(ma.Average(), 0.5f, 1e-6f);
 }
 
 TEST(Energy, MovingAverageTracksStep) {
   dsp::MovingAveragePower ma(4);
-  for (int i = 0; i < 8; ++i) ma.Push({0.0f, 0.0f});
-  for (int i = 0; i < 4; ++i) ma.Push({1.0f, 0.0f});
+  for (int i = 0; i < 8; ++i) ma.Push(dsp::FinitePower({0.0f, 0.0f}));
+  for (int i = 0; i < 4; ++i) ma.Push(dsp::FinitePower({1.0f, 0.0f}));
   EXPECT_NEAR(ma.Average(), 1.0f, 1e-6f);  // window fully in the step
   ma.Reset();
   EXPECT_EQ(ma.Average(), 0.0f);
@@ -472,10 +474,10 @@ TEST(Energy, NonFiniteSamplesDoNotPoisonAverages) {
   // One NaN in a running average must not make every later average NaN
   // (NaN propagates forever through a naive running sum).
   dsp::MovingAveragePower ma(4);
-  ma.Push({1.0f, 0.0f});
-  ma.Push({nan, nan});
-  ma.Push({inf, 0.0f});
-  for (int i = 0; i < 8; ++i) ma.Push({1.0f, 0.0f});
+  ma.Push(dsp::FinitePower({1.0f, 0.0f}));
+  ma.Push(dsp::FinitePower({nan, nan}));
+  ma.Push(dsp::FinitePower({inf, 0.0f}));
+  for (int i = 0; i < 8; ++i) ma.Push(dsp::FinitePower({1.0f, 0.0f}));
   EXPECT_TRUE(std::isfinite(ma.Average()));
   EXPECT_NEAR(ma.Average(), 1.0f, 1e-6f);
 }

@@ -47,13 +47,17 @@ def git(*args):
 
 
 def extract(rev, dest):
-    """git-archives `rev` into dest/src unless it already holds that tree."""
+    """git-archives `rev` into dest/src unless it already holds that tree.
+
+    A different tree empties all of dest, its builds included: a commit's
+    files carry the commit's time, which can be older than the objects a
+    build left there, so an incremental build would keep stale code."""
     tree = git("rev-parse", "--verify", f"{rev}^{{tree}}")
     src = os.path.join(dest, "src")
     stamp = os.path.join(dest, "tree-id")
     if os.path.exists(stamp) and open(stamp).read().strip() == tree:
         return src
-    shutil.rmtree(src, ignore_errors=True)
+    shutil.rmtree(dest, ignore_errors=True)
     os.makedirs(src)
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", tree],
                                stdout=subprocess.PIPE)
